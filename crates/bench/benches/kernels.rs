@@ -139,7 +139,7 @@ fn bench_compress(c: &mut Criterion) {
     });
 }
 
-/// Iteration throughput of the unified engine spine (`Engine<InPlaceModel>`)
+/// Iteration throughput of the unified engine spine (`Engine<SraProblem>`)
 /// on a stringent 16-machine / 120-shard instance — the allocation-free
 /// undo-log hot loop that replaced the per-iteration-clone engine.
 fn bench_lns_iteration_throughput(c: &mut Criterion) {
@@ -177,7 +177,7 @@ fn bench_lns_iteration_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("spine_engine_2k_iters", |bench| {
         bench.iter(|| {
-            let engine = Engine::in_place(
+            let engine = Engine::new(
                 &problem,
                 initial.clone(),
                 default_destroys_in_place(64),
@@ -224,7 +224,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         ..Default::default()
     };
     let make_engine = || {
-        Engine::in_place(
+        Engine::new(
             &problem,
             initial.clone(),
             default_destroys_in_place(64),
@@ -293,9 +293,9 @@ fn bench_kernel_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole head-to-head: the PR 3 portfolio (8 duplicated full-fleet
-/// searches) vs the cooperative decomposed solver (8 shard-disjoint
-/// neighborhoods + recombination rounds) at the same iteration budget.
+/// The serial engine vs the cooperative decomposed solver (8
+/// shard-disjoint neighborhoods + recombination rounds) at the same
+/// iteration budget.
 /// Default size is the mid `exp_scalability` tier; set `REX_BENCH_LARGE=1`
 /// to add the largest (400 machines / 4000 shards) tier — the acceptance
 /// measurement recorded in BENCH_solver.json (`scripts/bench_to_json.sh`).
@@ -331,11 +331,10 @@ fn bench_decomposed_solve(c: &mut Criterion) {
             ..Default::default()
         };
         let problem = SraProblem::new(&inst, base.objective);
-        group.bench_function(&format!("portfolio_w8_{m}x{s}"), |bench| {
-            let cfg = SraConfig { workers: 8, ..base };
+        group.bench_function(&format!("serial_{m}x{s}"), |bench| {
             bench.iter(|| {
                 let (best, _, _, _) =
-                    run_search(&problem, &cfg, cfg.seed, &mut Recorder::noop()).expect("search");
+                    run_search(&problem, &base, base.seed, &mut Recorder::noop()).expect("search");
                 black_box(best.peak_load(&inst))
             })
         });

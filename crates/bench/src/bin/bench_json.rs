@@ -1,8 +1,22 @@
-//! Machine-readable solver perf trajectory: times the search phase of the
-//! 8-wide portfolio (the PR 3 baseline, `speedup_vs_seed = 1`) against the
-//! cooperative decomposed solver (`partitions = 8`) on the
-//! `exp_scalability` sizes and emits one JSON record per `(bench, size)`
-//! to `BENCH_solver.json` (see EXPERIMENTS.md §"Perf trajectory").
+//! Machine-readable solver perf trajectory: times the serial engine spine
+//! (the seed, `speedup_vs_seed = 1`) and the cooperative decomposed solver
+//! (`partitions = 8`) on the `exp_scalability` sizes and emits one JSON
+//! record per `(bench, size)` to `BENCH_solver.json` (see EXPERIMENTS.md
+//! §"Perf trajectory").
+//!
+//! The ratio fields of a solver record are relative to the `engine_spine`
+//! record at the same size, i.e. the serial engine at the same per-iteration
+//! budget:
+//!
+//! ```text
+//! speedup_vs_seed = engine_spine.ns_per_iter / bench.ns_per_iter
+//! peak_vs_seed    = bench.peak / engine_spine.peak
+//! ```
+//!
+//! so `speedup_vs_seed` is the wall time the serial spine needs for the
+//! bench's executed iteration count over the bench's own wall time. Sizes
+//! without a spine record (the large tier) and the non-solver benches carry
+//! the neutral 1.0, except `kernel_scan` (see [`measure_kernel_scan`]).
 //!
 //! Modes:
 //! * default — measure and print the JSON array to stdout (the shell
@@ -33,9 +47,9 @@ use std::time::Instant;
 /// schema; extra fields are informational).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Record {
-    /// Benchmark id: `portfolio_solve` (seed baseline),
-    /// `decomposed_solve`, `engine_spine` (the serial unified engine's
-    /// raw iteration throughput, gated at 2% instead of 10%),
+    /// Benchmark id: `engine_spine` (the serial engine's raw iteration
+    /// throughput and the seed of the ratio fields, gated at 2% instead of
+    /// 10%), `decomposed_solve`,
     /// `event_engine` (router), or `kernel_scan` (SIMD-dispatched scan vs
     /// the scalar oracle; `--check` gates its `speedup_vs_seed` ratio,
     /// `REX_BENCH_LARGE` runs only).
@@ -46,23 +60,23 @@ struct Record {
     threads: usize,
     /// Wall nanoseconds per executed LNS iteration.
     ns_per_iter: f64,
-    /// Wall-clock speedup over the portfolio baseline at the same size
-    /// and iteration budget (`1.0` for the baseline itself).
+    /// Per-iteration wall-clock speedup over `engine_spine` at the same
+    /// size (module docs; `1.0` for the spine itself).
     speedup_vs_seed: f64,
     /// Search wall time in nanoseconds.
     wall_ns: u64,
-    /// Executed LNS iterations (all workers / partitions summed).
+    /// Executed LNS iterations (all partitions and rounds summed).
     iterations: u64,
     /// Final peak load of the best placement found.
     peak: f64,
-    /// Final peak relative to the portfolio baseline's (quality bound:
-    /// the acceptance criterion wants ≤ 1.01).
+    /// Final peak relative to `engine_spine`'s at the same size (quality
+    /// bound: the acceptance criterion wants ≤ 1.01).
     peak_vs_seed: f64,
     /// CPU nanoseconds per iteration, immune to preemption by other
     /// tenants of a shared box: **thread CPU** (`/proc/thread-self/stat`)
     /// for `engine_spine` — the metric its tight 2% gate compares — and
     /// **process CPU** (`/proc/self/stat`, all rayon workers included)
-    /// for the parallel drivers (`portfolio_solve`, `decomposed_solve`),
+    /// for the parallel driver (`decomposed_solve`),
     /// gated at the usual 10%. `ns_per_iter` stays wall-clock for
     /// continuity. `0.0` when not measured.
     #[serde(default)]
@@ -86,7 +100,7 @@ fn thread_cpu_ns() -> u64 {
 
 /// Process-wide CPU time (user + system, all threads) in nanoseconds,
 /// from `/proc/self/stat`. This is the right clock for the parallel
-/// drivers (portfolio, decomposed): their rayon workers are invisible to
+/// decomposed driver: its rayon workers are invisible to
 /// `/proc/thread-self`, which only ever sees the coordinating thread
 /// blocked in a join.
 fn process_cpu_ns() -> u64 {
@@ -113,8 +127,8 @@ fn threads() -> usize {
 }
 
 /// Times one search (no planning/verification — those phases are identical
-/// for both methods) and returns `(wall_ns, cpu_ns, iterations,
-/// final_peak)`. CPU time is process-wide so the parallel drivers' rayon
+/// for every method) and returns `(wall_ns, cpu_ns, iterations,
+/// final_peak)`. CPU time is process-wide so the parallel driver's rayon
 /// workers are counted (on a single-CPU box it tracks wall minus
 /// preemption).
 fn time_search(inst: &rex_cluster::Instance, cfg: &SraConfig) -> (u64, u64, u64, f64) {
@@ -130,7 +144,7 @@ fn time_search(inst: &rex_cluster::Instance, cfg: &SraConfig) -> (u64, u64, u64,
 }
 
 /// Times the **serial** search — the single unified engine loop with no
-/// portfolio or decomposition around it, running entirely on the calling
+/// decomposition around it, running entirely on the calling
 /// thread — and returns `(min_wall_ns, min_cpu_ns, iterations, peak)`
 /// over `reps` runs. Plannability gating of new bests is disabled (as in
 /// the `lns_hot_loop` criterion group): `plan_migration` costs the same
@@ -252,27 +266,6 @@ fn measure() -> Vec<Record> {
         };
         let size = format!("{m}x{s}");
 
-        let (p_wall, p_cpu, p_iters, p_peak) = time_search(
-            &inst,
-            &SraConfig {
-                workers: width,
-                ..base
-            },
-        );
-        out.push(Record {
-            bench: "portfolio_solve".into(),
-            size: size.clone(),
-            threads,
-            ns_per_iter: p_wall as f64 / p_iters.max(1) as f64,
-            speedup_vs_seed: 1.0,
-            wall_ns: p_wall,
-            iterations: p_iters,
-            peak: p_peak,
-            peak_vs_seed: 1.0,
-            cpu_ns_per_iter: p_cpu as f64 / p_iters.max(1) as f64,
-            events_per_sec: 0.0,
-        });
-
         // The engine-spine gate: raw serial iteration throughput of the
         // one unified loop, no parallel driver in the way. Pinned at 2%
         // (`--check`) so engine refactors cannot quietly slow the hot path.
@@ -283,21 +276,21 @@ fn measure() -> Vec<Record> {
                 // 10 ms tick, so the gated run must last a second or so
                 // for the 2% comparison to be meaningful.
                 iters: iters * 10,
-                workers: 1,
                 ..base
             },
             5,
         );
+        let e_ns = e_wall as f64 / e_iters.max(1) as f64;
         out.push(Record {
             bench: "engine_spine".into(),
             size: size.clone(),
             threads,
-            ns_per_iter: e_wall as f64 / e_iters.max(1) as f64,
+            ns_per_iter: e_ns,
             speedup_vs_seed: 1.0,
             wall_ns: e_wall,
             iterations: e_iters,
             peak: e_peak,
-            peak_vs_seed: e_peak / p_peak,
+            peak_vs_seed: 1.0,
             cpu_ns_per_iter: e_cpu as f64 / e_iters.max(1) as f64,
             events_per_sec: 0.0,
         });
@@ -309,16 +302,17 @@ fn measure() -> Vec<Record> {
                 ..base
             },
         );
+        let d_ns = d_wall as f64 / d_iters.max(1) as f64;
         out.push(Record {
             bench: "decomposed_solve".into(),
             size,
             threads,
-            ns_per_iter: d_wall as f64 / d_iters.max(1) as f64,
-            speedup_vs_seed: p_wall as f64 / d_wall.max(1) as f64,
+            ns_per_iter: d_ns,
+            speedup_vs_seed: e_ns / d_ns,
             wall_ns: d_wall,
             iterations: d_iters,
             peak: d_peak,
-            peak_vs_seed: d_peak / p_peak,
+            peak_vs_seed: d_peak / e_peak,
             cpu_ns_per_iter: d_cpu as f64 / d_iters.max(1) as f64,
             events_per_sec: 0.0,
         });
@@ -327,7 +321,7 @@ fn measure() -> Vec<Record> {
     out.push(measure_router(threads));
 
     // The large tier (`REX_BENCH_LARGE=1`): decomposed solver only — the
-    // 8-wide portfolio at these sizes is too slow to serve as an in-run
+    // serial spine at these sizes is too slow to serve as an in-run
     // baseline, so the ratio fields carry the neutral 1.0. The web-scale
     // sizes (100k shards) run the hierarchical path (`depth = 2`); quick
     // mode keeps only the smallest large size.
@@ -465,12 +459,12 @@ fn main() {
             // with the box, the vectorization win must not. Express it in
             // the shared "higher = worse" ratio convention.
             let kernel = new.bench == "kernel_scan";
-            // The spine's raw loop is pinned tight (the unification must
-            // not cost throughput) on thread-CPU time, which is immune to
-            // preemption noise on a shared box. The parallel drivers
-            // (portfolio, decomposed) gate on process-CPU time when both
-            // records carry it — same noise immunity, usual 10% limit —
-            // and fall back to wall clock against older baselines.
+            // The spine's raw loop is pinned tight (refactors must not cost
+            // throughput) on thread-CPU time, which is immune to
+            // preemption noise on a shared box. The parallel decomposed
+            // driver gates on process-CPU time when both records carry it
+            // — same noise immunity, usual 10% limit — and falls back to
+            // wall clock against older baselines.
             let spine = new.bench == "engine_spine";
             let has_cpu = new.cpu_ns_per_iter > 0.0 && old.cpu_ns_per_iter > 0.0;
             let (old_ns, new_ns, metric, limit) = if kernel {
@@ -537,7 +531,7 @@ mod tests {
     #[test]
     fn baseline_records_without_newer_fields_parse() {
         let old = r#"[{
-            "bench": "portfolio_solve",
+            "bench": "decomposed_solve",
             "size": "32x320",
             "threads": 8,
             "ns_per_iter": 65582.9,

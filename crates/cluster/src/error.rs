@@ -51,6 +51,9 @@ pub enum ClusterError {
     /// A shard merge was requested for shards that are not distinct,
     /// not both present, or not co-located on one machine.
     BadMerge { keep: ShardId, drop: ShardId },
+    /// A generator was asked for too few shards to reach its target
+    /// utilization while keeping every shard under the per-shard size cap.
+    TooFewShards { shards: usize, required: usize },
 }
 
 impl fmt::Display for ClusterError {
@@ -124,6 +127,13 @@ impl fmt::Display for ClusterError {
                     f,
                     "cannot merge shard {drop} into {keep}: shards must be \
                      distinct, present, and co-located"
+                )
+            }
+            TooFewShards { shards, required } => {
+                write!(
+                    f,
+                    "{shards} shards cannot reach the target utilization under the \
+                     per-shard size cap; at least {required} are needed"
                 )
             }
         }

@@ -1,25 +1,25 @@
 //! Cooperative decomposed SRA search: partition → parallel sub-solves →
 //! merge → boundary repair, repeated for a fixed number of rounds.
 //!
-//! The monolithic portfolio (`workers = N`) runs N *duplicated* searches
-//! over the whole fleet and keeps the best — N × iters full-fleet
-//! iterations for one answer. The decomposed solver instead splits the
-//! fleet into `k` machine neighborhoods ([`rex_cluster::partition_fleet`]),
-//! runs one in-place LNS worker per neighborhood on a **sub-instance**
-//! containing only that neighborhood's machines and shards, and splices
-//! the per-partition solutions back together. Each covered iteration
-//! touches `O(n/k)` machines instead of `O(n)`, so at equal iteration
-//! budget the decomposed solve does roughly `k×` less scan work than the
-//! portfolio — the source of the wall-clock win on a single core, and the
-//! reason it also parallelizes cleanly when cores exist.
+//! The serial engine runs every iteration over the whole fleet. The
+//! decomposed solver instead splits the fleet into `k` machine
+//! neighborhoods ([`rex_cluster::partition_subfleet`]), runs one in-place
+//! LNS worker per neighborhood on a **sub-instance** containing only that
+//! neighborhood's machines and shards, and splices the per-partition
+//! solutions back together. Each covered iteration touches `O(n/k)`
+//! machines instead of `O(n)` — the source of the wall-clock win on a
+//! single core, and the reason it also parallelizes cleanly when cores
+//! exist.
 //!
 //! One round:
 //!
 //! 1. **Partition** the fleet by current loads (LPT over machines; shards
-//!    follow the machine hosting them). Partitions are disjoint in both
-//!    machines and shards, so their solutions compose without conflicts.
-//!    The global `k_return` vacancy quota is split into per-partition
-//!    shares backed by each partition's own vacancies.
+//!    follow the machine hosting them), recursively to `depth` levels.
+//!    Partitions are disjoint in both machines and shards, so their
+//!    solutions compose without conflicts. The global `k_return` vacancy
+//!    quota is split into per-partition shares backed by each partition's
+//!    own vacancies. Depth 1 is the degenerate tree: the root splits once
+//!    and its children are the leaves.
 //! 2. **Sub-solve** every partition in parallel
 //!    ([`rex_lns::cooperative_round`]) with seeds from
 //!    [`rex_lns::round_seed`]`(seed, round, partition)` — fixed before the
@@ -28,7 +28,8 @@
 //! 3. **Merge** by splicing each partition's placement into the global
 //!    one (conflict-free by construction; capacity- and vacancy-feasible
 //!    because every sub-solution is, and the quota shares sum to
-//!    `k_return`).
+//!    `k_return`). Below depth 1, each internal tree level is then
+//!    repaired bottom-up the same way before the root's pass.
 //! 4. **Boundary repair**: a short serial LNS pass on the *global* problem
 //!    starting from the merged placement. This is where shards cross
 //!    partition borders, and where the global `plan_on_best` gate sees
@@ -53,43 +54,38 @@ use crate::problem::SraProblem;
 use crate::repair::default_repairs_in_place;
 use crate::sra::{starting_solution, SraConfig};
 use rex_cluster::{
-    partition_fleet, partition_subfleet, Assignment, ClusterError, Instance, Machine, MachineId,
-    PartitionSpec, Shard, ShardId,
+    partition_subfleet, Assignment, ClusterError, Instance, Machine, MachineId, PartitionSpec,
+    Shard, ShardId,
 };
 use rex_lns::{
-    cooperative_round, round_seed, Engine, EngineStats, InPlaceModel, LnsConfig, LnsProblem,
-    RoundJob, TrajectoryPoint,
+    cooperative_round, round_seed, Engine, EngineStats, LnsConfig, LnsProblem, RoundJob,
+    SearchOutcome, TrajectoryPoint,
 };
 use rex_obs::Recorder;
+use std::time::Duration;
 
 /// Recombination rounds per solve. Each round re-partitions by current
 /// loads, so this is also how many distinct neighborhood structures the
 /// search explores.
 pub const ROUNDS: u64 = 4;
 
-/// Sub-instance for one partition, plus the maps back to the global ids.
+/// Sub-instance for one partition (local dense ids), plus its drained
+/// machines in local ids. The sub-instance's `initial` is the placement
+/// the node starts from.
 struct SubCtx {
-    /// Index of this partition in the round's partition list.
-    part_idx: usize,
-    /// The partition as its own instance (local dense ids).
     inst: Instance,
-    /// Round-start placement in local ids (the sub-initial).
-    start: Vec<MachineId>,
-    /// Drained machines of this partition, in local ids.
     drain: Vec<MachineId>,
 }
 
 /// Builds the local sub-instance for one tree node (`part`). Local
 /// machine `j` is `part.machines[j]`; local shard `j` is
-/// `part.shards[j]`; the sub-initial is the current global placement
-/// restricted to the node. Exchange flags are dropped — inside a node
-/// every machine is just capacity — and the sub `k_return` is the node's
-/// vacancy-quota share. `part_idx` is the node's job index (seed slot).
+/// `part.shards[j]`; the sub-initial is `placement` restricted to the
+/// node. Exchange flags are dropped — inside a node every machine is just
+/// capacity — and the sub `k_return` is the node's vacancy-quota share.
 fn build_sub(
     inst: &Instance,
-    current: &Assignment,
-    part: &rex_cluster::PartitionSpec,
-    part_idx: usize,
+    placement: &[MachineId],
+    part: &PartitionSpec,
     is_drained: impl Fn(MachineId) -> bool,
     label: String,
 ) -> SubCtx {
@@ -115,10 +111,10 @@ fn build_sub(
             )
         })
         .collect();
-    let start: Vec<MachineId> = part
+    let initial: Vec<MachineId> = part
         .shards
         .iter()
-        .map(|&s| MachineId::from(local_of[current.placement()[s.idx()].idx()] as usize))
+        .map(|&s| MachineId::from(local_of[placement[s.idx()].idx()] as usize))
         .collect();
     let drain: Vec<MachineId> = part
         .machines
@@ -130,7 +126,7 @@ fn build_sub(
         dims: inst.dims,
         machines,
         shards,
-        initial: start.clone(),
+        initial,
         k_return: part.vacancy_quota,
         alpha: inst.alpha,
         label,
@@ -140,9 +136,7 @@ fn build_sub(
         "sub-instance of a feasible placement must validate"
     );
     SubCtx {
-        part_idx,
         inst: sub_inst,
-        start,
         drain,
     }
 }
@@ -200,157 +194,25 @@ pub fn decomposed_search(
     }
 
     for round in 0..ROUNDS {
-        if depth > 1 {
-            // Hierarchical (POP-style) round: recursive split, leaf
-            // solves, bottom-up repairs, then the global boundary pass.
-            // depth == 1 stays on the flat path below, bit-identical to
-            // the pre-hierarchy behavior.
-            let (next, round_iters, val) = hierarchical_round(
-                problem,
-                cfg,
-                seed,
-                round,
-                k_eff,
-                depth,
-                &drained,
-                &current,
-                rec,
-                sub_iters,
-                boundary_iters,
-                sub_tl,
-            )?;
-            current = next;
-            iterations += round_iters;
-            if val < best_val {
-                best_val = val;
-                best = current.clone();
-            }
-            continue;
-        }
-        let loads = current.loads(inst);
-        let parts = partition_fleet(
-            inst,
-            current.placement(),
-            &loads,
-            k_eff,
-            inst.k_return,
-            &drained,
-        );
-
-        // Shardless partitions have nothing to search; their machines stay
-        // untouched (and vacant) through the merge.
-        let subs: Vec<SubCtx> = (0..parts.len())
-            .filter(|&p| !parts[p].shards.is_empty())
-            .map(|p| {
-                build_sub(
-                    inst,
-                    &current,
-                    &parts[p],
-                    p,
-                    |m| problem.is_drained(m),
-                    format!("{}#r{round}p{p}", inst.label),
-                )
-            })
-            .collect();
-        let sub_problems: Vec<SraProblem<'_>> = subs
-            .iter()
-            .map(|sc| {
-                // Plannability is a property of the *global* migration, so
-                // sub-searches skip plan checks entirely; the boundary pass
-                // and the final planning step gate on the real thing.
-                let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                    .with_drain(&sc.drain)
-                    .without_plan_checks();
-                sp.smoothing = problem.smoothing;
-                sp
-            })
-            .collect();
-        let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
-            .iter()
-            .zip(&subs)
-            .map(|(sp, sc)| {
-                Ok(RoundJob {
-                    model: InPlaceModel::new(
-                        sp,
-                        Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                        default_destroys_in_place(cfg.destroy_cap),
-                        default_repairs_in_place(),
-                    ),
-                    seed: round_seed(seed, round, sc.part_idx),
-                })
-            })
-            .collect::<Result<_, ClusterError>>()?;
-
-        let engine_cfg = LnsConfig {
-            max_iters: sub_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
-        let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(sub_iters));
-
-        // Merge: splice every partition's placement back in. Disjointness
-        // makes this conflict-free; each sub-solution is capacity-feasible
-        // and keeps its vacancy-quota share, and the shares sum to
-        // k_return, so the merged placement is globally feasible.
-        let mut merged = current.placement().to_vec();
-        for (sc, out) in subs.iter().zip(&outcomes) {
-            let part = &parts[sc.part_idx];
-            for (j, &s) in part.shards.iter().enumerate() {
-                merged[s.idx()] = part.machines[out.best.placement()[j].idx()];
-            }
-            iterations += out.iterations;
-        }
-        let merged = Assignment::from_placement(inst, merged)?;
-
-        if rec.is_active() {
-            rec.span_open("sra", "round", vec![("round", round.into())]);
-            for (sc, out) in subs.iter().zip(&outcomes) {
-                rec.event(
-                    "lns",
-                    "partition",
-                    vec![
-                        ("round", round.into()),
-                        ("partition", sc.part_idx.into()),
-                        ("machines", parts[sc.part_idx].machines.len().into()),
-                        ("shards", parts[sc.part_idx].shards.len().into()),
-                        ("seed", round_seed(seed, round, sc.part_idx).into()),
-                        ("objective", out.best_objective.into()),
-                        ("iterations", out.iterations.into()),
-                    ],
-                );
-            }
-        }
-
-        // Boundary repair on the global problem: cross-partition moves,
-        // judged against the true initial placement with the usual
-        // plan-on-best gating. Merged placements are feasible by
-        // construction, so the engine's feasible-start requirement holds.
-        let boundary_cfg = LnsConfig {
-            max_iters: boundary_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
-        let engine = Engine::in_place(
+        let (next, round_iters, val) = hierarchical_round(
             problem,
-            merged,
-            default_destroys_in_place(cfg.destroy_cap),
-            default_repairs_in_place(),
-            cfg.acceptance.build(boundary_iters),
-            boundary_cfg,
-        );
-        let out = engine.run_recorded(round_seed(seed, round, k_eff), rec);
-        iterations += out.iterations;
-        current = out.best;
-
-        let val = LnsProblem::objective(problem, &current);
+            cfg,
+            seed,
+            round,
+            k_eff,
+            depth,
+            &drained,
+            &current,
+            rec,
+            sub_iters,
+            boundary_iters,
+            sub_tl,
+        )?;
+        current = next;
+        iterations += round_iters;
         if val < best_val {
             best_val = val;
             best = current.clone();
-        }
-        if rec.is_active() {
-            rec.span_close("sra", "round", vec![("objective", val.into())]);
         }
     }
 
@@ -419,12 +281,93 @@ fn split_rec(
     }
 }
 
-/// One round of the depth-d hierarchical decomposition (POP-style):
-/// recursive partition → leaf solves in one flat cooperative round →
-/// bottom-up per-level internal-node repairs (machine-disjoint within a
-/// level, plan checks off, each node holding its conserved vacancy
-/// quota) → one global serial boundary repair with the usual plan
-/// gating. Returns `(new current, iterations, global objective)`.
+/// Solves every shard-holding node of one tree level in one cooperative
+/// round, starting each from the placement in `merged`, and splices the
+/// results back into it. Nodes of one level are machine-disjoint, so the splices are
+/// conflict-free; each node keeps its conserved vacancy quota, so the
+/// merged placement stays globally feasible. Plannability is a property
+/// of the *global* migration, so node searches skip plan checks entirely;
+/// the root's boundary pass and the final planning step gate on the real
+/// thing.
+///
+/// Node `i` runs with seed `round_seed(seed, round, base + i)`. Returns
+/// `(node index, outcome)` per solved node, in node order.
+#[allow(clippy::too_many_arguments)]
+fn solve_level(
+    problem: &SraProblem<'_>,
+    cfg: &SraConfig,
+    seed: u64,
+    round: u64,
+    nodes: &[PartitionSpec],
+    base: usize,
+    iters: u64,
+    time_limit: Option<Duration>,
+    merged: &mut [MachineId],
+) -> Result<Vec<(usize, SearchOutcome<Assignment>)>, ClusterError> {
+    let inst = problem.inst;
+    let placement = merged.to_vec();
+    let (idx, subs): (Vec<usize>, Vec<SubCtx>) = nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, nd)| !nd.shards.is_empty())
+        .map(|(i, nd)| {
+            let label = format!("{}#r{round}n{}", inst.label, base + i);
+            (
+                i,
+                build_sub(inst, &placement, nd, |m| problem.is_drained(m), label),
+            )
+        })
+        .unzip();
+    let sub_problems: Vec<SraProblem<'_>> = subs
+        .iter()
+        .map(|sc| {
+            let mut sp = SraProblem::new(&sc.inst, cfg.objective)
+                .with_drain(&sc.drain)
+                .without_plan_checks();
+            sp.smoothing = problem.smoothing;
+            sp
+        })
+        .collect();
+    let engine_cfg = LnsConfig {
+        max_iters: iters,
+        time_limit,
+        intensity: cfg.intensity,
+        ..Default::default()
+    };
+    let jobs = sub_problems
+        .iter()
+        .zip(&idx)
+        .map(|(sp, &i)| {
+            Ok(RoundJob {
+                engine: Engine::new(
+                    sp,
+                    Assignment::from_placement(sp.inst, sp.inst.initial.clone())?,
+                    default_destroys_in_place(cfg.destroy_cap),
+                    default_repairs_in_place(),
+                    cfg.acceptance.build(iters),
+                    engine_cfg,
+                ),
+                seed: round_seed(seed, round, base + i),
+            })
+        })
+        .collect::<Result<Vec<_>, ClusterError>>()?;
+    let outcomes = cooperative_round(jobs);
+    for (&i, out) in idx.iter().zip(&outcomes) {
+        let nd = &nodes[i];
+        for (j, &s) in nd.shards.iter().enumerate() {
+            merged[s.idx()] = nd.machines[out.best.placement()[j].idx()];
+        }
+    }
+    Ok(idx.into_iter().zip(outcomes).collect())
+}
+
+/// One round of the depth-d decomposition (POP-style): recursive
+/// partition → leaf solves in one flat cooperative round → bottom-up
+/// per-level internal-node repairs (machine-disjoint within a level, plan
+/// checks off, each node holding its conserved vacancy quota) → one
+/// global serial boundary repair with the usual plan gating. Depth 1 is
+/// the degenerate tree: leaves are the root's children and there are no
+/// internal levels. Returns `(new current, iterations, global objective)`.
 ///
 /// Determinism: every engine's seed is `round_seed(seed, round,
 /// job_idx)` where `job_idx` numbers the engines launched this round in
@@ -444,7 +387,7 @@ fn hierarchical_round(
     rec: &mut Recorder,
     sub_iters: u64,
     boundary_iters: u64,
-    sub_tl: Option<std::time::Duration>,
+    sub_tl: Option<Duration>,
 ) -> Result<(Assignment, u64, f64), ClusterError> {
     let inst = problem.inst;
     let loads = current.loads(inst);
@@ -480,77 +423,32 @@ fn hierarchical_round(
         );
     }
 
-    let mut iterations = 0u64;
-
     // Stage 1: solve every leaf in one flat cooperative round (no nested
     // parallelism — the tree only shapes *which* sub-instances exist).
-    let subs: Vec<SubCtx> = leaves
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.shards.is_empty())
-        .map(|(i, l)| {
-            build_sub(
-                inst,
-                current,
-                l,
-                i,
-                |m| problem.is_drained(m),
-                format!("{}#r{round}d{depth}p{i}", inst.label),
-            )
-        })
-        .collect();
-    let sub_problems: Vec<SraProblem<'_>> = subs
-        .iter()
-        .map(|sc| {
-            let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                .with_drain(&sc.drain)
-                .without_plan_checks();
-            sp.smoothing = problem.smoothing;
-            sp
-        })
-        .collect();
-    let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
-        .iter()
-        .zip(&subs)
-        .map(|(sp, sc)| {
-            Ok(RoundJob {
-                model: InPlaceModel::new(
-                    sp,
-                    Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                    default_destroys_in_place(cfg.destroy_cap),
-                    default_repairs_in_place(),
-                ),
-                seed: round_seed(seed, round, sc.part_idx),
-            })
-        })
-        .collect::<Result<_, ClusterError>>()?;
-    let engine_cfg = LnsConfig {
-        max_iters: sub_iters,
-        time_limit: sub_tl,
-        intensity: cfg.intensity,
-        ..Default::default()
-    };
-    let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(sub_iters));
-
     let mut merged = current.placement().to_vec();
-    for (sc, out) in subs.iter().zip(&outcomes) {
-        let part = &leaves[sc.part_idx];
-        for (j, &s) in part.shards.iter().enumerate() {
-            merged[s.idx()] = part.machines[out.best.placement()[j].idx()];
-        }
-        iterations += out.iterations;
-    }
+    let solved = solve_level(
+        problem,
+        cfg,
+        seed,
+        round,
+        &leaves,
+        0,
+        sub_iters,
+        sub_tl,
+        &mut merged,
+    )?;
+    let mut iterations: u64 = solved.iter().map(|(_, out)| out.iterations).sum();
     if rec.is_active() {
-        for (sc, out) in subs.iter().zip(&outcomes) {
+        for (i, out) in &solved {
             rec.event(
                 "lns",
                 "partition",
                 vec![
                     ("round", round.into()),
-                    ("partition", sc.part_idx.into()),
-                    ("machines", leaves[sc.part_idx].machines.len().into()),
-                    ("shards", leaves[sc.part_idx].shards.len().into()),
-                    ("seed", round_seed(seed, round, sc.part_idx).into()),
+                    ("partition", (*i).into()),
+                    ("machines", leaves[*i].machines.len().into()),
+                    ("shards", leaves[*i].shards.len().into()),
+                    ("seed", round_seed(seed, round, *i).into()),
                     ("objective", out.best_objective.into()),
                     ("iterations", out.iterations.into()),
                 ],
@@ -559,92 +457,40 @@ fn hierarchical_round(
     }
     let mut next_job = leaves.len();
 
-    // Stage 2: bottom-up repairs across each internal level. Nodes of one
-    // level are machine-disjoint, so their repairs run in one cooperative
-    // round and splice conflict-free, exactly like leaf solves. Each node
-    // keeps its conserved vacancy quota, so the level-merged placement
-    // stays globally feasible.
-    for lvl in (0..internal.len()).rev() {
-        let nodes = &internal[lvl];
-        if nodes.is_empty() {
-            continue;
-        }
-        let cur = Assignment::from_placement(inst, merged.clone())?;
-        let base = next_job;
+    // Stage 2: bottom-up repairs across each internal level, each level in
+    // one cooperative round from the placement merged so far.
+    for nodes in internal.iter().rev() {
+        let solved = solve_level(
+            problem,
+            cfg,
+            seed,
+            round,
+            nodes,
+            next_job,
+            boundary_iters,
+            sub_tl,
+            &mut merged,
+        )?;
+        iterations += solved.iter().map(|(_, out)| out.iterations).sum::<u64>();
         next_job += nodes.len();
-        let subs: Vec<SubCtx> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, nd)| !nd.shards.is_empty())
-            .map(|(i, nd)| {
-                build_sub(
-                    inst,
-                    &cur,
-                    nd,
-                    base + i,
-                    |m| problem.is_drained(m),
-                    format!("{}#r{round}l{lvl}n{i}", inst.label),
-                )
-            })
-            .collect();
-        let sub_problems: Vec<SraProblem<'_>> = subs
-            .iter()
-            .map(|sc| {
-                let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                    .with_drain(&sc.drain)
-                    .without_plan_checks();
-                sp.smoothing = problem.smoothing;
-                sp
-            })
-            .collect();
-        let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
-            .iter()
-            .zip(&subs)
-            .map(|(sp, sc)| {
-                Ok(RoundJob {
-                    model: InPlaceModel::new(
-                        sp,
-                        Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                        default_destroys_in_place(cfg.destroy_cap),
-                        default_repairs_in_place(),
-                    ),
-                    seed: round_seed(seed, round, sc.part_idx),
-                })
-            })
-            .collect::<Result<_, ClusterError>>()?;
-        let engine_cfg = LnsConfig {
-            max_iters: boundary_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
-        let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(boundary_iters));
-        for (sc, out) in subs.iter().zip(&outcomes) {
-            let nd = &nodes[sc.part_idx - base];
-            for (j, &s) in nd.shards.iter().enumerate() {
-                merged[s.idx()] = nd.machines[out.best.placement()[j].idx()];
-            }
-            iterations += out.iterations;
-        }
     }
 
     // Stage 3: the root's repair — a global serial boundary pass with
     // cross-node moves, judged against the true initial placement with
-    // the usual plan-on-best gating.
-    let merged = Assignment::from_placement(inst, merged)?;
-    let boundary_cfg = LnsConfig {
-        max_iters: boundary_iters,
-        time_limit: sub_tl,
-        intensity: cfg.intensity,
-        ..Default::default()
-    };
-    let engine = Engine::in_place(
+    // the usual plan-on-best gating. Merged placements are feasible by
+    // construction, so the engine's feasible-start requirement holds.
+    let engine = Engine::new(
         problem,
-        merged,
+        Assignment::from_placement(inst, merged)?,
         default_destroys_in_place(cfg.destroy_cap),
         default_repairs_in_place(),
         cfg.acceptance.build(boundary_iters),
-        boundary_cfg,
+        LnsConfig {
+            max_iters: boundary_iters,
+            time_limit: sub_tl,
+            intensity: cfg.intensity,
+            ..Default::default()
+        },
     );
     let out = engine.run_recorded(round_seed(seed, round, next_job), rec);
     iterations += out.iterations;
@@ -823,17 +669,6 @@ mod tests {
         assert!(res.assignment.is_vacant(MachineId(0)));
         assert!(!res.returned_machines.contains(&MachineId(0)));
         res.assignment.check_target(&inst).unwrap();
-    }
-
-    #[test]
-    fn hierarchical_depth_one_is_the_flat_path() {
-        // depth = 1 must be byte-identical to the pre-hierarchy flat
-        // rounds: same seeds, same job numbering, same placement.
-        let inst = fleet(4, 8, 4, 3);
-        let flat = solve(&inst, &cfg(4)).unwrap();
-        let one = solve(&inst, &SraConfig { depth: 1, ..cfg(4) }).unwrap();
-        assert_eq!(flat.assignment.placement(), one.assignment.placement());
-        assert_eq!(flat.iterations, one.iterations);
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn solve_delta(
         intensity: cfg.intensity,
         ..Default::default()
     };
-    let engine = Engine::in_place(
+    let engine = Engine::new(
         &problem,
         initial,
         destroys,

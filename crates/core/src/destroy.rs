@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rex_cluster::{Assignment, Instance, InstanceBuilder, Objective};
-    use rex_lns::LnsProblemInPlace;
+    use rex_lns::LnsProblem;
 
     fn inst() -> Instance {
         let mut b = InstanceBuilder::new(2).label("d");
@@ -271,7 +271,7 @@ mod tests {
             if inst.initial[state.removed()[0].idx()] == MachineId(0) {
                 from_hot += 1;
             }
-            LnsProblemInPlace::revert(&p, &mut state);
+            LnsProblem::revert(&p, &mut state);
         }
         assert!(
             from_hot > 10,
@@ -376,7 +376,7 @@ mod tests {
                 assert!(state.solution().is_detached(s));
             }
             state.solution().validate_consistency(&inst).unwrap();
-            LnsProblemInPlace::revert(&p, &mut state);
+            LnsProblem::revert(&p, &mut state);
             assert_eq!(state.solution().placement(), before.as_slice());
         }
     }

@@ -31,8 +31,8 @@
 //!   search with per-candidate plannability checks, which can never end
 //!   worse than the (trivially plannable) initial placement.
 //!
-//! Entry point: [`sra::solve`] (serial or parallel portfolio, controlled by
-//! [`sra::SraConfig::workers`]).
+//! Entry point: [`sra::solve`] — the serial engine, or the cooperative
+//! decomposed search when [`sra::SraConfig::partitions`] is above 1.
 
 pub mod decomposed;
 pub mod delta;

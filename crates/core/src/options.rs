@@ -25,8 +25,13 @@ use std::time::Duration;
 pub enum ConfigError {
     /// `iters` must be at least 1 — a zero-iteration search cannot run.
     ZeroIterations,
-    /// `workers` must be at least 1 (the portfolio needs a worker).
-    ZeroWorkers,
+    /// `workers` must be 1: SRA runs one search per solve (parallelism
+    /// comes from `partitions`), and the setter survives only so existing
+    /// callers that pin the serial engine keep compiling.
+    Workers {
+        /// Workers requested.
+        workers: usize,
+    },
     /// The destroy intensity range must satisfy `0 < lo <= hi <= 1`.
     BadIntensity {
         /// Lower bound as given.
@@ -67,7 +72,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ConfigError::ZeroIterations => write!(f, "iters must be at least 1"),
-            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
+            ConfigError::Workers { workers } => write!(
+                f,
+                "workers must be 1, got {workers} (use partitions for a parallel solve)"
+            ),
             ConfigError::BadIntensity { lo, hi } => {
                 write!(
                     f,
@@ -100,6 +108,7 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     cfg: SraConfig,
+    workers: usize,
 }
 
 impl Default for SolveOptions {
@@ -111,24 +120,22 @@ impl Default for SolveOptions {
 impl SolveOptions {
     /// Starts from [`SraConfig::default`].
     pub fn new() -> Self {
-        Self {
-            cfg: SraConfig::default(),
-        }
+        Self::from_config(SraConfig::default())
     }
 
     /// Starts from an existing configuration (e.g. a preset the caller
     /// already carries) so further layers only override what they own.
     pub fn from_config(cfg: SraConfig) -> Self {
-        Self { cfg }
+        Self { cfg, workers: 1 }
     }
 
-    /// LNS iteration budget (per worker).
+    /// LNS iteration budget.
     pub fn iters(mut self, iters: u64) -> Self {
         self.cfg.iters = iters;
         self
     }
 
-    /// Optional wall-clock budget (per worker).
+    /// Optional wall-clock budget.
     pub fn time_limit(mut self, limit: Option<Duration>) -> Self {
         self.cfg.time_limit = limit;
         self
@@ -158,9 +165,11 @@ impl SolveOptions {
         self
     }
 
-    /// Parallel portfolio width (`1` = serial engine).
+    /// Worker count: a validator with one legal value, `1` (see
+    /// [`ConfigError::Workers`]). Not a knob — use [`Self::partitions`]
+    /// for a parallel solve.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
+        self.workers = workers;
         self
     }
 
@@ -170,8 +179,8 @@ impl SolveOptions {
         self
     }
 
-    /// Hierarchical decomposition depth (`1` = flat rounds; only
-    /// meaningful with `partitions > 1`).
+    /// Decomposition tree depth (`1` = one split; only meaningful with
+    /// `partitions > 1`).
     pub fn depth(mut self, depth: usize) -> Self {
         self.cfg.depth = depth;
         self
@@ -196,8 +205,10 @@ impl SolveOptions {
         if cfg.iters == 0 {
             return Err(ConfigError::ZeroIterations);
         }
-        if cfg.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
+        if self.workers != 1 {
+            return Err(ConfigError::Workers {
+                workers: self.workers,
+            });
         }
         let (lo, hi) = cfg.intensity;
         if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi && hi <= 1.0) {
@@ -266,11 +277,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected() {
-        assert_eq!(
-            SolveOptions::new().workers(0).build().unwrap_err(),
-            ConfigError::ZeroWorkers
-        );
+    fn workers_other_than_one_rejected() {
+        for workers in [0usize, 2, 4, 8] {
+            assert_eq!(
+                SolveOptions::new().workers(workers).build().unwrap_err(),
+                ConfigError::Workers { workers }
+            );
+        }
+        // The one legal value validates and changes nothing.
+        let pinned = SolveOptions::new().workers(1).build().unwrap();
+        assert_eq!(pinned.iters, SraConfig::default().iters);
+        assert_eq!(pinned.partitions, SraConfig::default().partitions);
+        assert!(ConfigError::Workers { workers: 4 }
+            .to_string()
+            .contains("partitions"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The shard-reassignment problem in the LNS framework's terms.
+//! The shard-reassignment problem in the LNS framework's terms. The
+//! [`rex_lns::LnsProblem`] implementation lives next to the search state
+//! it drives, in [`crate::state`].
 
-use rex_cluster::{
-    plan_migration, Assignment, Instance, MachineId, Objective, PlannerConfig, ShardId,
-};
-use rex_lns::LnsProblem;
+use rex_cluster::{Assignment, Instance, MachineId, Objective, PlannerConfig, ShardId};
 
 /// The reassignment problem bound to an instance and an objective.
 pub struct SraProblem<'a> {
@@ -217,64 +216,11 @@ impl<'a> SraProblem<'a> {
     }
 }
 
-impl LnsProblem for SraProblem<'_> {
-    type Solution = Assignment;
-
-    fn objective(&self, sol: &Assignment) -> f64 {
-        let base = self.objective.value(self.inst, sol, &self.inst.initial);
-        if self.smoothing > 0.0 {
-            let (_, mean_sq) = sol.load_stats(self.inst);
-            base + self.smoothing * mean_sq
-        } else {
-            base
-        }
-    }
-
-    fn is_feasible(&self, sol: &Assignment) -> bool {
-        if !sol.is_complete()
-            || !sol.is_capacity_feasible(self.inst)
-            || sol.vacant_count() < self.inst.k_return + self.drained.iter().filter(|&&d| d).count()
-        {
-            return false;
-        }
-        for m in 0..self.drained.len() {
-            if self.drained[m] && !sol.is_vacant(MachineId::from(m)) {
-                return false;
-            }
-        }
-        if self.plan_every {
-            plan_migration(
-                self.inst,
-                &self.inst.initial,
-                sol.placement(),
-                &self.planner,
-            )
-            .is_ok()
-        } else {
-            true
-        }
-    }
-
-    fn accept_best(&self, sol: &Assignment) -> bool {
-        if self.plan_on_best && !self.plan_every {
-            // The gate runs on every would-be best, so failures must be
-            // cheap: a tighter move budget than the final planning pass.
-            // Anything needing > 2× staging churn is a poor best anyway.
-            let gate_cfg = PlannerConfig {
-                move_budget_factor: self.planner.move_budget_factor.min(2.0),
-                ..self.planner
-            };
-            plan_migration(self.inst, &self.inst.initial, sol.placement(), &gate_cfg).is_ok()
-        } else {
-            true
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rex_cluster::{InstanceBuilder, ObjectiveKind};
+    use rex_lns::LnsProblem;
 
     fn inst() -> Instance {
         let mut b = InstanceBuilder::new(1).label("p");

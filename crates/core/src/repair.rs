@@ -467,7 +467,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rex_cluster::{Instance, InstanceBuilder, Objective, ObjectiveKind};
-    use rex_lns::{LnsProblem, LnsProblemInPlace};
+    use rex_lns::LnsProblem;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
@@ -637,7 +637,7 @@ mod tests {
                 "{} should fail",
                 repair.name()
             );
-            LnsProblemInPlace::revert(&p, &mut state);
+            LnsProblem::revert(&p, &mut state);
             assert_eq!(state.solution().placement(), before.as_slice());
         }
     }

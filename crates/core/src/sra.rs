@@ -9,8 +9,8 @@ use rex_cluster::{
     MigrationPlan, Objective, PlannerConfig,
 };
 use rex_lns::{
-    portfolio_search_recorded, Acceptance, Engine, EngineStats, HillClimb, InPlaceModel, LnsConfig,
-    LnsProblem, PortfolioConfig, RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
+    Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblem, RecordToRecord,
+    SimulatedAnnealing, TrajectoryPoint,
 };
 use rex_obs::Recorder;
 use serde::{Deserialize, Serialize};
@@ -43,9 +43,10 @@ impl AcceptanceKind {
 /// SRA configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SraConfig {
-    /// LNS iterations (per worker).
+    /// LNS iterations (per search; a decomposed solve spreads them over
+    /// its rounds, see [`crate::decomposed`]).
     pub iters: u64,
-    /// Optional wall-clock budget (per worker).
+    /// Optional wall-clock budget.
     pub time_limit: Option<Duration>,
     /// Objective to minimize.
     pub objective: Objective,
@@ -55,17 +56,15 @@ pub struct SraConfig {
     pub intensity: (f64, f64),
     /// Maximum shards detached per iteration.
     pub destroy_cap: usize,
-    /// Parallel portfolio width; `1` runs the serial engine (which also
-    /// records operator stats and the convergence trajectory).
-    pub workers: usize,
-    /// Cooperative decomposition width: `> 1` replaces the search with the
-    /// partition → parallel sub-solve → merge → boundary-repair rounds of
-    /// [`crate::decomposed`] (clamped to half the machine count), and
-    /// `workers` is ignored. `0` or `1` keeps the monolithic search.
+    /// Cooperative decomposition width: `> 1` replaces the serial search
+    /// with the partition → parallel sub-solve → merge → boundary-repair
+    /// rounds of [`crate::decomposed`] (clamped to half the machine
+    /// count). `0` or `1` keeps the serial engine, which also records
+    /// operator stats and the convergence trajectory.
     pub partitions: usize,
-    /// Hierarchical decomposition depth (only meaningful when
-    /// `partitions > 1`). `1` (the default) keeps the flat single-level
-    /// rounds; `d > 1` recursively re-partitions every neighborhood into
+    /// Decomposition tree depth (only meaningful when `partitions > 1`).
+    /// `1` (the default) splits the fleet once, into `partitions` leaves;
+    /// `d > 1` recursively re-partitions every neighborhood into
     /// `partitions` children down to depth `d`, solves the leaves, and
     /// repairs each internal level bottom-up before the global boundary
     /// pass — the POP-style web-scale path of [`crate::decomposed`].
@@ -87,7 +86,6 @@ impl Default for SraConfig {
             acceptance: AcceptanceKind::SimulatedAnnealing,
             intensity: (0.02, 0.25),
             destroy_cap: 64,
-            workers: 1,
             partitions: 0,
             depth: 1,
             seed: 42,
@@ -115,7 +113,7 @@ pub struct SraResult {
     /// The `k_return` vacant machines handed back (borrowed exchange
     /// machines first, then originally-loaded machines that were emptied).
     pub returned_machines: Vec<MachineId>,
-    /// LNS iterations executed (summed over workers).
+    /// LNS iterations executed (summed over partitions and rounds).
     pub iterations: u64,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
@@ -139,7 +137,7 @@ impl SraResult {
 ///
 /// 1. validates the instance,
 /// 2. searches for the best capacity- and vacancy-feasible target placement
-///    (serial ALNS, or a rayon portfolio when `cfg.workers > 1`),
+///    (serial ALNS, or the decomposed search when `cfg.partitions > 1`),
 /// 3. plans a transient-feasible migration schedule to it; if planning
 ///    deadlocks (rare — the exchange machines provide staging space), the
 ///    search is re-run with per-candidate plannability checks,
@@ -193,7 +191,6 @@ pub fn solve_traced(
                 ("drain", drain.len().into()),
                 ("seed", cfg.seed.into()),
                 ("iters", cfg.iters.into()),
-                ("workers", cfg.workers.into()),
             ],
         );
     }
@@ -323,10 +320,9 @@ pub fn solve_traced(
 }
 
 /// Runs the search phase: the cooperative decomposed solver when
-/// `cfg.partitions > 1`, otherwise the serial engine or the parallel
-/// portfolio. All paths drive the **one** unified `Engine<M>` spine over
-/// the allocation-free in-place edit model (`InPlaceModel` over
-/// `SraState`). Public so the benches can time the search without the
+/// `cfg.partitions > 1`, otherwise the serial engine. Both paths drive the
+/// **one** `Engine` spine over the allocation-free in-place `SraState`.
+/// Public so the benches can time the search without the
 /// planning/verification phases.
 pub fn run_search(
     problem: &SraProblem<'_>,
@@ -337,48 +333,22 @@ pub fn run_search(
     if cfg.partitions > 1 {
         return crate::decomposed::decomposed_search(problem, cfg, seed, rec);
     }
-    let initial = starting_solution(problem)?;
-    let lns_cfg = LnsConfig {
-        max_iters: cfg.iters,
-        time_limit: cfg.time_limit,
-        intensity: cfg.intensity,
-        log_trajectory: cfg.log_trajectory,
-        ..Default::default()
-    };
-    if cfg.workers <= 1 {
-        let engine = Engine::in_place(
-            problem,
-            initial,
-            default_destroys_in_place(cfg.destroy_cap),
-            default_repairs_in_place(),
-            cfg.acceptance.build(cfg.iters),
-            lns_cfg,
-        );
-        let out = engine.run_recorded(seed, rec);
-        Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
-    } else {
-        let pcfg = PortfolioConfig {
-            workers: cfg.workers,
-            engine: lns_cfg,
-        };
-        let out = portfolio_search_recorded(
-            &initial,
-            seed,
-            &pcfg,
-            |start| {
-                InPlaceModel::new(
-                    problem,
-                    start,
-                    default_destroys_in_place(cfg.destroy_cap),
-                    default_repairs_in_place(),
-                )
-            },
-            || cfg.acceptance.build(cfg.iters),
-            rec,
-        );
-        let iters = out.worker_results.iter().map(|w| w.iterations).sum();
-        Ok((out.best, iters, None, Vec::new()))
-    }
+    let engine = Engine::new(
+        problem,
+        starting_solution(problem)?,
+        default_destroys_in_place(cfg.destroy_cap),
+        default_repairs_in_place(),
+        cfg.acceptance.build(cfg.iters),
+        LnsConfig {
+            max_iters: cfg.iters,
+            time_limit: cfg.time_limit,
+            intensity: cfg.intensity,
+            log_trajectory: cfg.log_trajectory,
+            ..Default::default()
+        },
+    );
+    let out = engine.run_recorded(seed, rec);
+    Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
 }
 
 /// The search's starting solution: the instance's initial placement —
@@ -452,16 +422,6 @@ pub(crate) fn starting_solution(problem: &SraProblem<'_>) -> Result<Assignment, 
     Ok(asg)
 }
 
-/// Chooses which `k_return` vacant machines to hand back: borrowed exchange
-/// machines first (returning the loan in kind), then emptied original
-/// machines, in id order for determinism.
-pub fn select_returned(inst: &Instance, asg: &Assignment) -> Vec<MachineId> {
-    let mut vacant = asg.vacant_machines();
-    vacant.sort_by_key(|m| (!inst.machines[m.idx()].exchange, m.idx()));
-    vacant.truncate(inst.k_return);
-    vacant
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,23 +485,6 @@ mod tests {
         assert_eq!(a.objective_value, b.objective_value);
         assert_eq!(a.assignment.placement(), b.assignment.placement());
         assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn parallel_solve_works_and_is_deterministic() {
-        let inst = imbalanced();
-        let cfg = SraConfig {
-            workers: 3,
-            ..quick_cfg()
-        };
-        let a = solve(&inst, &cfg).unwrap();
-        let b = solve(&inst, &cfg).unwrap();
-        assert_eq!(a.objective_value, b.objective_value);
-        assert!(a.final_report.peak <= a.initial_report.peak);
-        assert!(
-            a.stats.is_none(),
-            "portfolio runs do not carry engine stats"
-        );
     }
 
     #[test]
@@ -696,25 +639,5 @@ mod tests {
         assert_eq!(ra.to_jsonl(), rb.to_jsonl());
         assert_eq!(ra.summary(), rb.summary());
         assert!(!ra.to_jsonl().is_empty());
-    }
-
-    #[test]
-    fn traced_parallel_solve_emits_worker_summaries() {
-        let inst = imbalanced();
-        let cfg = SraConfig {
-            workers: 3,
-            ..quick_cfg()
-        };
-        let mut rec = Recorder::active();
-        let res = solve_traced(&inst, &cfg, &[], &mut rec).unwrap();
-        let workers = rec
-            .events()
-            .iter()
-            .filter(|e| e.layer == "lns" && e.name == "worker")
-            .count();
-        assert_eq!(workers, 3);
-        assert_eq!(rec.open_spans(), 0);
-        let plain = solve(&inst, &cfg).unwrap();
-        assert_eq!(plain.objective_value, res.objective_value);
     }
 }

@@ -28,8 +28,10 @@
 //! [`RESYNC_EVERY`] commits.
 
 use crate::problem::SraProblem;
-use rex_cluster::{plan_migration, Assignment, Instance, MachineId, ShardId, UndoLog};
-use rex_lns::{LnsProblem, LnsProblemInPlace};
+use rex_cluster::{
+    plan_migration, Assignment, Instance, MachineId, PlannerConfig, ShardId, UndoLog,
+};
+use rex_lns::LnsProblem;
 
 /// Full cache resynchronization period, in commits. With the compensated
 /// accumulators below, each update leaves at most one *delta-sized*
@@ -98,7 +100,7 @@ struct ScalarBase {
 /// Operators access it through [`SraState::detach`] / [`SraState::attach`]
 /// (which keep every cache coherent and feed the undo log) and the
 /// read-only accessors; the engine drives revert/commit through
-/// [`LnsProblemInPlace`].
+/// [`LnsProblem`].
 pub struct SraState {
     pub(crate) asg: Assignment,
     /// Detached shards awaiting re-insertion.
@@ -333,8 +335,59 @@ impl SraState {
     }
 }
 
-impl LnsProblemInPlace for SraProblem<'_> {
+impl LnsProblem for SraProblem<'_> {
+    type Solution = Assignment;
     type State = SraState;
+
+    fn objective(&self, sol: &Assignment) -> f64 {
+        let base = self.objective.value(self.inst, sol, &self.inst.initial);
+        if self.smoothing > 0.0 {
+            let (_, mean_sq) = sol.load_stats(self.inst);
+            base + self.smoothing * mean_sq
+        } else {
+            base
+        }
+    }
+
+    fn is_feasible(&self, sol: &Assignment) -> bool {
+        if !sol.is_complete()
+            || !sol.is_capacity_feasible(self.inst)
+            || sol.vacant_count() < self.reserved_vacancies()
+        {
+            return false;
+        }
+        for m in (0..self.inst.n_machines()).map(MachineId::from) {
+            if self.is_drained(m) && !sol.is_vacant(m) {
+                return false;
+            }
+        }
+        if self.plan_every {
+            plan_migration(
+                self.inst,
+                &self.inst.initial,
+                sol.placement(),
+                &self.planner,
+            )
+            .is_ok()
+        } else {
+            true
+        }
+    }
+
+    fn accept_best(&self, sol: &Assignment) -> bool {
+        if self.plan_on_best && !self.plan_every {
+            // The gate runs on every would-be best, so failures must be
+            // cheap: a tighter move budget than the final planning pass.
+            // Anything needing > 2× staging churn is a poor best anyway.
+            let gate_cfg = PlannerConfig {
+                move_budget_factor: self.planner.move_budget_factor.min(2.0),
+                ..self.planner
+            };
+            plan_migration(self.inst, &self.inst.initial, sol.placement(), &gate_cfg).is_ok()
+        } else {
+            true
+        }
+    }
 
     fn make_state(&self, sol: Assignment) -> SraState {
         SraState::new(self, sol)
@@ -496,7 +549,7 @@ mod tests {
         }
         assert_ne!(state.asg.placement(), before_placement.as_slice());
 
-        LnsProblemInPlace::revert(&p, &mut state);
+        LnsProblem::revert(&p, &mut state);
         assert_eq!(state.asg.placement(), before_placement.as_slice());
         assert_eq!(state.loads, before_loads, "loads must restore bit-exactly");
         assert_eq!(p.state_objective(&mut state), before_obj);
@@ -533,9 +586,9 @@ mod tests {
                     "round {round}: delta {delta} vs full {full}"
                 );
                 if round % 3 == 0 {
-                    LnsProblemInPlace::revert(&p, &mut state);
+                    LnsProblem::revert(&p, &mut state);
                 } else {
-                    LnsProblemInPlace::commit(&p, &mut state);
+                    LnsProblem::commit(&p, &mut state);
                 }
             }
         }
@@ -572,7 +625,7 @@ mod tests {
             }
             state.removed.clear();
             state.attach(&p, s, target.expect("shard fits somewhere"));
-            LnsProblemInPlace::commit(&p, &mut state);
+            LnsProblem::commit(&p, &mut state);
             if round % 977 == 0 {
                 let delta = p.state_objective(&mut state);
                 let full = full_objective(&p, &state.asg);
@@ -601,7 +654,7 @@ mod tests {
         state.attach(&p, s, MachineId(3));
         assert_eq!(p.state_feasible(&state), p.is_feasible(&state.asg));
         assert!(!p.state_feasible(&state));
-        LnsProblemInPlace::revert(&p, &mut state);
+        LnsProblem::revert(&p, &mut state);
         assert!(p.state_feasible(&state));
     }
 

@@ -18,7 +18,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use rex_cluster::{Assignment, Objective, ObjectiveKind};
 use rex_core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
-use rex_lns::{LnsProblem, LnsProblemInPlace};
+use rex_lns::LnsProblem;
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

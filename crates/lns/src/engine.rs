@@ -1,15 +1,13 @@
 //! The ALNS iteration engine — **the one spine**.
 //!
-//! Every solve path in the workspace (serial SRA, the seed portfolio,
-//! cooperative decomposed rounds, the runtime controller, benches, the
-//! CLI) drives this single [`Engine`] through the
-//! [`EditModel`](crate::problem::EditModel) protocol. There is exactly one
-//! iteration loop: acceptance policies, adaptive operator weights,
-//! budget/termination handling, and `rex-obs` trace events live here and
-//! nowhere else.
+//! Every solve path in the workspace (serial SRA, cooperative decomposed
+//! rounds, the runtime controller, benches, the CLI) drives this single
+//! [`Engine`] over an [`LnsProblem`]. There is exactly one iteration loop:
+//! acceptance policies, adaptive operator weights, budget/termination
+//! handling, and `rex-obs` trace events live here and nowhere else.
 
 use crate::accept::Acceptance;
-use crate::problem::{DestroyInPlace, EditModel, InPlaceModel, LnsProblemInPlace, RepairInPlace};
+use crate::problem::{DestroyInPlace, LnsProblem, RepairInPlace};
 use crate::weights::{IterationOutcome, OperatorWeights};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -103,7 +101,7 @@ pub struct EngineStats {
     /// Times a candidate beat the best objective but was refused by the
     /// problem's `accept_best` gate (e.g. SRA's plannability check).
     pub best_gate_rejections: u64,
-    /// Destroy-operator statistics (same order as in the model).
+    /// Destroy-operator statistics (same order as the engine's list).
     pub destroy_ops: Vec<OperatorStat>,
     /// Repair-operator statistics.
     pub repair_ops: Vec<OperatorStat>,
@@ -126,45 +124,65 @@ pub struct SearchOutcome<S> {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-/// The unified ALNS engine: owns an [`EditModel`] (working position +
-/// operator portfolio) and an acceptance criterion, and runs the one
-/// destroy/repair/accept loop over them.
-pub struct Engine<M: EditModel> {
-    model: M,
+/// The unified ALNS engine: owns the problem reference, the working
+/// [`LnsProblem::State`], the operator lists and an acceptance criterion,
+/// and runs the one destroy/repair/accept loop over them.
+///
+/// One iteration is:
+///
+/// ```text
+/// destroy(i) → repair(j) → state_feasible? → state_objective → accept?
+///     → commit [snapshot on a new best]   or   → revert
+/// ```
+pub struct Engine<'p, P: LnsProblem> {
+    problem: &'p P,
+    state: P::State,
+    destroys: Vec<Box<dyn DestroyInPlace<P>>>,
+    repairs: Vec<Box<dyn RepairInPlace<P>>>,
     acceptance: Box<dyn Acceptance>,
     config: LnsConfig,
 }
 
-impl<M: EditModel> Engine<M> {
-    /// Creates an engine over an already-positioned model.
+impl<'p, P: LnsProblem> Engine<'p, P> {
+    /// Wraps `initial` into a working state over `problem` and builds the
+    /// engine.
     ///
     /// # Panics
-    /// If either of the model's operator lists is empty, or the intensity
-    /// range is not within `(0, 1]` with `min <= max`.
-    pub fn new(model: M, acceptance: Box<dyn Acceptance>, config: LnsConfig) -> Self {
-        assert!(
-            model.destroy_count() > 0,
-            "need at least one destroy operator"
-        );
-        assert!(
-            model.repair_count() > 0,
-            "need at least one repair operator"
-        );
+    /// If `initial` is infeasible (the search contract requires a feasible
+    /// starting incumbent), either operator list is empty, or the
+    /// intensity range is not within `(0, 1]` with `min <= max`.
+    pub fn new(
+        problem: &'p P,
+        initial: P::Solution,
+        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
+        repairs: Vec<Box<dyn RepairInPlace<P>>>,
+        acceptance: Box<dyn Acceptance>,
+        config: LnsConfig,
+    ) -> Self {
+        assert!(!destroys.is_empty(), "need at least one destroy operator");
+        assert!(!repairs.is_empty(), "need at least one repair operator");
         let (lo, hi) = config.intensity;
         assert!(
             lo > 0.0 && hi <= 1.0 && lo <= hi,
             "bad intensity range ({lo}, {hi})"
         );
+        assert!(
+            problem.is_feasible(&initial),
+            "LNS must start from a feasible solution"
+        );
         Self {
-            model,
+            problem,
+            state: problem.make_state(initial),
+            destroys,
+            repairs,
             acceptance,
             config,
         }
     }
 
-    /// Runs the search from the model's current position with the given
+    /// Runs the search from the initial solution with the given
     /// deterministic seed.
-    pub fn run(self, seed: u64) -> SearchOutcome<M::Solution> {
+    pub fn run(self, seed: u64) -> SearchOutcome<P::Solution> {
         self.run_recorded(seed, &mut Recorder::noop())
     }
 
@@ -175,31 +193,29 @@ impl<M: EditModel> Engine<M> {
     /// plus a `("lns", "resync")` event whenever a commit performs a full
     /// cache resynchronization. With a [`Recorder::Noop`] the only
     /// per-iteration cost over [`run`] is one enum-discriminant check —
-    /// the model's observability hooks are not even called.
+    /// the problem's observability hooks are not even called.
     ///
     /// Recording never perturbs the search: the RNG, acceptance, and weight
     /// updates are untouched, so the returned [`SearchOutcome`] is
     /// bit-identical with and without tracing.
     ///
     /// [`run`]: Engine::run
-    pub fn run_recorded(mut self, seed: u64, rec: &mut Recorder) -> SearchOutcome<M::Solution> {
+    pub fn run_recorded(mut self, seed: u64, rec: &mut Recorder) -> SearchOutcome<P::Solution> {
+        let problem = self.problem;
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut dweights = OperatorWeights::new(
-            self.model.destroy_count(),
+            self.destroys.len(),
             self.config.rho,
             self.config.segment_len,
         );
-        let mut rweights = OperatorWeights::new(
-            self.model.repair_count(),
-            self.config.rho,
-            self.config.segment_len,
-        );
+        let mut rweights =
+            OperatorWeights::new(self.repairs.len(), self.config.rho, self.config.segment_len);
         let mut stats = EngineStats::default();
         let mut trajectory = Vec::new();
 
-        let mut best = self.model.snapshot();
-        let mut f_current = self.model.objective();
+        let mut best = problem.snapshot(&self.state);
+        let mut f_current = problem.state_objective(&mut self.state);
         let mut f_best = f_current;
         if self.config.log_trajectory {
             trajectory.push(TrajectoryPoint {
@@ -217,12 +233,12 @@ impl<M: EditModel> Engine<M> {
                 vec![
                     ("seed", seed.into()),
                     ("max_iters", self.config.max_iters.into()),
-                    ("destroys", self.model.destroy_count().into()),
-                    ("repairs", self.model.repair_count().into()),
+                    ("destroys", self.destroys.len().into()),
+                    ("repairs", self.repairs.len().into()),
                     ("initial_objective", f_best.into()),
                 ],
             );
-            last_resyncs = self.model.resyncs();
+            last_resyncs = problem.state_resyncs(&self.state);
         }
 
         let (ilo, ihi) = self.config.intensity;
@@ -248,31 +264,35 @@ impl<M: EditModel> Engine<M> {
             let recording = rec.is_active();
             let mut cause = "rejected";
             let mut delta = f64::NAN; // serialized as null when not evaluated
-            self.model.destroy(di, intensity, &mut rng);
-            let destroyed = if recording { self.model.destroyed() } else { 0 };
-            let repaired = self.model.repair(ri, &mut rng);
+            self.destroys[di].destroy(problem, &mut self.state, intensity, &mut rng);
+            let destroyed = if recording {
+                problem.state_destroyed(&self.state)
+            } else {
+                0
+            };
+            let repaired = self.repairs[ri].repair(problem, &mut self.state, &mut rng);
             let undo_depth = if recording {
-                self.model.undo_depth()
+                problem.state_undo_depth(&self.state)
             } else {
                 0
             };
             let outcome = if !repaired {
-                self.model.revert();
+                problem.revert(&mut self.state);
                 stats.repair_failures += 1;
                 cause = "repair_failed";
                 IterationOutcome::Rejected
-            } else if !self.model.feasible() {
-                self.model.revert();
+            } else if !problem.state_feasible(&self.state) {
+                problem.revert(&mut self.state);
                 stats.infeasible += 1;
                 cause = "infeasible";
                 IterationOutcome::Rejected
             } else {
-                let f_cand = self.model.objective();
+                let f_cand = problem.state_objective(&mut self.state);
                 delta = f_cand - f_current;
                 if self.acceptance.accept(f_cand, f_current, f_best, &mut rng) {
                     stats.accepted += 1;
                     let gate_ok = f_cand < f_best && {
-                        let ok = self.model.accept_best();
+                        let ok = problem.state_accept_best(&self.state);
                         if !ok {
                             stats.best_gate_rejections += 1;
                         }
@@ -280,7 +300,7 @@ impl<M: EditModel> Engine<M> {
                     };
                     let outcome = if gate_ok {
                         stats.new_bests += 1;
-                        best = self.model.snapshot();
+                        best = problem.snapshot(&self.state);
                         f_best = f_cand;
                         if self.config.log_trajectory {
                             trajectory.push(TrajectoryPoint {
@@ -296,11 +316,11 @@ impl<M: EditModel> Engine<M> {
                     } else {
                         IterationOutcome::Accepted
                     };
-                    self.model.commit();
+                    problem.commit(&mut self.state);
                     f_current = f_cand;
                     outcome
                 } else {
-                    self.model.revert();
+                    problem.revert(&mut self.state);
                     stats.rejected += 1;
                     IterationOutcome::Rejected
                 }
@@ -311,8 +331,8 @@ impl<M: EditModel> Engine<M> {
                     "lns",
                     "iter",
                     vec![
-                        ("destroy", self.model.destroy_name(di).into()),
-                        ("repair", self.model.repair_name(ri).into()),
+                        ("destroy", self.destroys[di].name().into()),
+                        ("repair", self.repairs[ri].name().into()),
                         ("intensity", intensity.into()),
                         ("destroyed", destroyed.into()),
                         ("undo_depth", undo_depth.into()),
@@ -321,7 +341,7 @@ impl<M: EditModel> Engine<M> {
                     ],
                 );
                 record_outcome_metrics(rec, outcome, cause, delta);
-                let resyncs = self.model.resyncs();
+                let resyncs = problem.state_resyncs(&self.state);
                 if resyncs != last_resyncs {
                     rec.event("lns", "resync", vec![("total", resyncs.into())]);
                     rec.add("lns.resyncs", resyncs - last_resyncs);
@@ -349,17 +369,17 @@ impl<M: EditModel> Engine<M> {
             );
         }
 
-        stats.destroy_ops = (0..self.model.destroy_count())
+        stats.destroy_ops = (0..self.destroys.len())
             .map(|i| OperatorStat {
-                name: self.model.destroy_name(i).to_string(),
+                name: self.destroys[i].name().to_string(),
                 uses: dweights.uses(i),
                 bests: dweights.bests(i),
                 weight: dweights.weight(i),
             })
             .collect();
-        stats.repair_ops = (0..self.model.repair_count())
+        stats.repair_ops = (0..self.repairs.len())
             .map(|i| OperatorStat {
-                name: self.model.repair_name(i).to_string(),
+                name: self.repairs[i].name().to_string(),
                 uses: rweights.uses(i),
                 bests: rweights.bests(i),
                 weight: rweights.weight(i),
@@ -374,29 +394,6 @@ impl<M: EditModel> Engine<M> {
             stats,
             trajectory,
         }
-    }
-}
-
-impl<'p, P: LnsProblemInPlace> Engine<InPlaceModel<'p, P>> {
-    /// Convenience constructor for the production path: wraps `initial`
-    /// into an [`InPlaceModel`] over `problem` and builds the engine.
-    ///
-    /// # Panics
-    /// If `initial` is infeasible, either operator list is empty, or the
-    /// intensity range is invalid.
-    pub fn in_place(
-        problem: &'p P,
-        initial: P::Solution,
-        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-        repairs: Vec<Box<dyn RepairInPlace<P>>>,
-        acceptance: Box<dyn Acceptance>,
-        config: LnsConfig,
-    ) -> Self {
-        Self::new(
-            InPlaceModel::new(problem, initial, destroys, repairs),
-            acceptance,
-            config,
-        )
     }
 }
 
@@ -429,7 +426,6 @@ fn record_outcome_metrics(
 mod tests {
     use super::*;
     use crate::accept::{HillClimb, SimulatedAnnealing};
-    use crate::problem::{CloneOracle, LnsProblem};
     use crate::toy::{
         GreedyInsertInPlace, PartitionProblem, PartitionState, RandomRemoveInPlace,
         WorstBinRemoveInPlace,
@@ -450,8 +446,8 @@ mod tests {
         problem: &PartitionProblem,
         initial: Vec<usize>,
         iters: u64,
-    ) -> Engine<InPlaceModel<'_, PartitionProblem>> {
-        Engine::in_place(
+    ) -> Engine<'_, PartitionProblem> {
+        Engine::new(
             problem,
             initial,
             toy_destroys(),
@@ -535,7 +531,7 @@ mod tests {
     #[test]
     fn time_limit_stops_early() {
         let problem = PartitionProblem::random(50, 4, 8);
-        let engine = Engine::in_place(
+        let engine = Engine::new(
             &problem,
             problem.all_in_first_bin(),
             vec![Box::new(RandomRemoveInPlace) as Box<dyn DestroyInPlace<PartitionProblem>>],
@@ -561,6 +557,7 @@ mod tests {
         struct Gated(PartitionProblem);
         impl LnsProblem for Gated {
             type Solution = Vec<usize>;
+            type State = PartitionState;
             fn objective(&self, s: &Vec<usize>) -> f64 {
                 self.0.objective(s)
             }
@@ -570,9 +567,6 @@ mod tests {
             fn accept_best(&self, s: &Vec<usize>) -> bool {
                 s[0].is_multiple_of(2)
             }
-        }
-        impl LnsProblemInPlace for Gated {
-            type State = PartitionState;
             fn make_state(&self, sol: Vec<usize>) -> PartitionState {
                 self.0.make_state(sol)
             }
@@ -614,7 +608,7 @@ mod tests {
             }
         }
         let gated = Gated(PartitionProblem::random(30, 3, 4));
-        let engine = Engine::in_place(
+        let engine = Engine::new(
             &gated,
             gated.0.all_in_first_bin(),
             vec![Box::new(D2) as Box<dyn DestroyInPlace<Gated>>],
@@ -634,7 +628,7 @@ mod tests {
     #[should_panic]
     fn rejects_empty_operator_lists() {
         let problem = PartitionProblem::random(5, 2, 1);
-        let _ = Engine::in_place(
+        let _ = Engine::new(
             &problem,
             problem.all_in_first_bin(),
             Vec::new(),
@@ -645,11 +639,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "feasible")]
     fn rejects_infeasible_start() {
         let problem = PartitionProblem::random(5, 2, 1);
         let bad = problem.infeasible_solution();
-        let _ = Engine::in_place(
+        let _ = Engine::new(
             &problem,
             bad,
             toy_destroys(),
@@ -657,39 +651,6 @@ mod tests {
             Box::new(HillClimb),
             LnsConfig::default(),
         );
-    }
-
-    #[test]
-    fn clone_oracle_matches_in_place_bit_exactly() {
-        // The oracle rejects by restoring a saved whole-state clone; the
-        // production model rejects by unwinding the undo log. Identical
-        // outcomes prove the undo machinery is bit-exact. (The full
-        // differential suite, including traces and the parallel drivers,
-        // lives in tests/spine_vs_legacy.rs.)
-        let problem = PartitionProblem::random(40, 4, 9);
-        let initial = problem.all_in_first_bin();
-        let cfg = LnsConfig {
-            max_iters: 1_500,
-            log_trajectory: true,
-            ..Default::default()
-        };
-        let spine = Engine::new(
-            InPlaceModel::new(&problem, initial.clone(), toy_destroys(), toy_repairs()),
-            Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
-            cfg,
-        )
-        .run(17);
-        let oracle = Engine::new(
-            CloneOracle::new(&problem, initial, toy_destroys(), toy_repairs()),
-            Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
-            cfg,
-        )
-        .run(17);
-        assert_eq!(spine.best_objective, oracle.best_objective);
-        assert_eq!(spine.best, oracle.best);
-        assert_eq!(spine.iterations, oracle.iterations);
-        assert_eq!(spine.stats.accepted, oracle.stats.accepted);
-        assert_eq!(spine.stats.new_bests, oracle.stats.new_bests);
     }
 
     #[test]

@@ -10,44 +10,38 @@
 //! ablation benches can swap acceptance criteria and operator sets without
 //! touching the domain logic in `rex-core`:
 //!
-//! * [`problem::LnsProblem`] — the domain interface (objective,
-//!   feasibility, best-gate),
-//! * [`problem::LnsProblemInPlace`], [`problem::DestroyInPlace`],
-//!   [`problem::RepairInPlace`] — the allocation-free in-place edit
-//!   protocol (destroy/repair mutate one working state; rejected edits are
-//!   reverted from an undo log instead of discarding a clone),
-//! * [`problem::EditModel`] — the engine-facing edit surface; the
-//!   production implementation is [`problem::InPlaceModel`] (undo-log
-//!   reverts), and [`problem::CloneOracle`] is a test-only differential
-//!   oracle that reverts by cloning a saved state,
+//! * [`problem::LnsProblem`] — the one domain interface: objective,
+//!   feasibility and best-gate on whole solutions, plus the
+//!   allocation-free in-place edit protocol (operators mutate one working
+//!   state; rejected edits are reverted from an undo log instead of
+//!   discarding a clone),
+//! * [`problem::DestroyInPlace`], [`problem::RepairInPlace`] — the
+//!   operator traits,
 //! * [`accept`] — hill-climbing, simulated annealing, record-to-record,
 //! * [`weights::OperatorWeights`] — adaptive operator selection,
-//! * [`engine::Engine`] — **the one iteration loop** (`Engine<M:
-//!   EditModel>`): adaptive operator choice, acceptance, budget handling,
+//! * [`engine::Engine`] — **the one iteration loop** (`Engine<P:
+//!   LnsProblem>`): adaptive operator choice, acceptance, budget handling,
 //!   trace events, and the best-objective trajectory recorder all live
 //!   here and nowhere else,
-//! * [`portfolio`] — a rayon-parallel multi-start runner with a
-//!   deterministic reduction, generic over the edit model,
 //! * [`cooperative`] — deterministic parallel execution of one decomposed
 //!   round (one worker per sub-problem),
 //! * [`toy`] — a tiny number-partitioning problem used by the tests and the
 //!   documentation examples.
 //!
-//! Determinism: every run is driven by a caller-supplied `u64` seed; the
-//! portfolio derives worker seeds as `seed ⊕ worker` and reduces with an
-//! order-independent minimum, so parallel results are reproducible.
+//! Determinism: every run is driven by a caller-supplied `u64` seed; a
+//! cooperative round derives worker seeds from `(seed, round, partition)`
+//! before its parallel section and collects results in job order, so
+//! parallel results are reproducible at any thread count.
 //!
-//! Observability: the engine exposes a `run_recorded` variant (and the
-//! portfolio a `portfolio_search_recorded`) that narrates the search into a
-//! [`rex_obs::Recorder`] — per-iteration operator/outcome/delta events,
-//! cache-resync markers, and per-worker summaries. Recording never perturbs
-//! the search, and a `Recorder::Noop` costs one discriminant check per
-//! iteration.
+//! Observability: the engine exposes a `run_recorded` variant that
+//! narrates the search into a [`rex_obs::Recorder`] — per-iteration
+//! operator/outcome/delta events and cache-resync markers. Recording never
+//! perturbs the search, and a `Recorder::Noop` costs one discriminant
+//! check per iteration.
 
 pub mod accept;
 pub mod cooperative;
 pub mod engine;
-pub mod portfolio;
 pub mod problem;
 pub mod toy;
 pub mod weights;
@@ -55,11 +49,5 @@ pub mod weights;
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
-pub use portfolio::{
-    portfolio_search, portfolio_search_recorded, worker_seed, PortfolioConfig, PortfolioOutcome,
-};
-pub use problem::{
-    CloneOracle, DestroyInPlace, EditModel, InPlaceModel, LnsProblem, LnsProblemInPlace,
-    RepairInPlace,
-};
+pub use problem::{DestroyInPlace, LnsProblem, RepairInPlace};
 pub use weights::OperatorWeights;

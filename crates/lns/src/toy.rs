@@ -4,10 +4,10 @@
 //! the 1-dimensional skeleton of the shard-reassignment problem. It exists
 //! so the framework can be tested (and its documentation exemplified)
 //! without dragging in the cluster domain. Its [`PartitionState`] derives
-//! `Clone`, which is what lets the `spine_vs_legacy` differential suite
-//! instantiate the [`crate::problem::CloneOracle`] over it.
+//! `Clone`, so tests can check revert exactness against a whole copy of
+//! the state saved at the last commit.
 
-use crate::problem::{DestroyInPlace, LnsProblem, LnsProblemInPlace, RepairInPlace};
+use crate::problem::{DestroyInPlace, LnsProblem, RepairInPlace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -57,31 +57,11 @@ impl PartitionProblem {
     }
 }
 
-impl LnsProblem for PartitionProblem {
-    type Solution = Vec<usize>;
-
-    fn objective(&self, sol: &Self::Solution) -> f64 {
-        // Normalize by the perfectly balanced value so objectives sit near 1.
-        let total: f64 = self.items.iter().sum();
-        let ideal = total / self.bins as f64;
-        let peak = self.bin_sums(sol).into_iter().fold(0.0, f64::max);
-        if ideal > 0.0 {
-            peak / ideal
-        } else {
-            0.0
-        }
-    }
-
-    fn is_feasible(&self, sol: &Self::Solution) -> bool {
-        sol.len() == self.items.len() && sol.iter().all(|&b| b < self.bins)
-    }
-}
-
 /// In-place search state for [`PartitionProblem`]: the solution plus
 /// cached bin sums, the unassigned-item list, and an undo log. Exists to
 /// exercise (and document) the in-place edit protocol without the cluster
-/// domain. Derives `Clone` (unlike the real SRA state) so the
-/// [`crate::problem::CloneOracle`] can snapshot and restore it whole.
+/// domain. Derives `Clone` (unlike the real SRA state) so tests can
+/// compare a reverted state with a copy saved at the last commit.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     /// `sol[i]` = bin of item `i`, or [`UNASSIGNED`].
@@ -152,8 +132,25 @@ impl PartitionState {
     }
 }
 
-impl LnsProblemInPlace for PartitionProblem {
+impl LnsProblem for PartitionProblem {
+    type Solution = Vec<usize>;
     type State = PartitionState;
+
+    fn objective(&self, sol: &Self::Solution) -> f64 {
+        // Normalize by the perfectly balanced value so objectives sit near 1.
+        let total: f64 = self.items.iter().sum();
+        let ideal = total / self.bins as f64;
+        let peak = self.bin_sums(sol).into_iter().fold(0.0, f64::max);
+        if ideal > 0.0 {
+            peak / ideal
+        } else {
+            0.0
+        }
+    }
+
+    fn is_feasible(&self, sol: &Self::Solution) -> bool {
+        sol.len() == self.items.len() && sol.iter().all(|&b| b < self.bins)
+    }
 
     fn make_state(&self, sol: Vec<usize>) -> PartitionState {
         let sums = self.bin_sums(&sol);
@@ -401,35 +398,44 @@ mod tests {
         assert!((p.objective(&sol) - 1.0).abs() < 1e-12);
     }
 
+    /// Every protocol field of `a` equals `b`'s, floats by bits. The
+    /// operator scratch and the `sums_base` snapshot buffer are excluded:
+    /// they carry no solution state.
+    fn assert_same_state(a: &PartitionState, b: &PartitionState) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.sol, b.sol, "revert must restore the solution");
+        assert_eq!(bits(&a.sums), bits(&b.sums), "sums must match bit-exactly");
+        assert_eq!(a.removed, b.removed);
+        assert_eq!(a.undo, b.undo);
+        assert_eq!(a.dirty, b.dirty);
+        assert_eq!(a.commits_since_resync, b.commits_since_resync);
+    }
+
     #[test]
     fn in_place_destroy_repair_revert_restores_exactly() {
         let p = PartitionProblem::random(20, 3, 6);
-        let sol = {
-            // Start from a spread-out solution so reverts are non-trivial.
-            let mut s = p.all_in_first_bin();
-            for (i, b) in s.iter_mut().enumerate() {
-                *b = i % 3;
+        // Input 1: a spread-out solution, so reverts are non-trivial.
+        let spread = p.make_state((0..20).map(|i| i % 3).collect());
+        // Input 2: a state after many committed bursts, whose sums carry
+        // accumulated float round-off — the case a rejected burst must
+        // restore bit-exactly rather than by re-adding item weights.
+        let mut committed = p.make_state(p.all_in_first_bin());
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..37 {
+            RandomRemoveInPlace.destroy(&p, &mut committed, 0.4, &mut rng);
+            assert!(GreedyInsertInPlace.repair(&p, &mut committed, &mut rng));
+            p.commit(&mut committed);
+        }
+        for mut state in [spread, committed] {
+            let saved = state.clone();
+            let mut rng = StdRng::seed_from_u64(8);
+            for _ in 0..50 {
+                RandomRemoveInPlace.destroy(&p, &mut state, 0.3, &mut rng);
+                assert!(!state.removed().is_empty());
+                assert!(GreedyInsertInPlace.repair(&p, &mut state, &mut rng));
+                p.revert(&mut state);
+                assert_same_state(&state, &saved);
             }
-            s
-        };
-        let mut state = p.make_state(sol.clone());
-        let sums_before = state.sums().to_vec();
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..50 {
-            RandomRemoveInPlace.destroy(&p, &mut state, 0.3, &mut rng);
-            assert!(!state.removed().is_empty());
-            assert!(GreedyInsertInPlace.repair(&p, &mut state, &mut rng));
-            p.revert(&mut state);
-            assert_eq!(
-                state.solution(),
-                &sol[..],
-                "revert must restore the solution"
-            );
-            assert_eq!(
-                state.sums(),
-                &sums_before[..],
-                "revert must restore sums bit-exactly"
-            );
         }
     }
 

@@ -1,163 +1,116 @@
-//! Portfolio determinism is independent of the thread count.
+//! Cooperative-round determinism is independent of the thread count.
 //!
 //! The vendored rayon shim exposes `set_threads_override` exactly so this
-//! suite can prove the contract DESIGN.md §8 states: the winner, the best
-//! objective, and every per-worker summary are a pure function of
-//! `(problem, seed, config)` — the number of OS threads that happened to
-//! execute the workers is unobservable. Everything runs in ONE `#[test]`
-//! function because the override is process-global.
+//! suite can prove the contract DESIGN.md §8 states: every job's best
+//! solution, objective, iteration count and operator statistics are a
+//! pure function of `(jobs, seeds, config)`, and outcomes arrive in job
+//! order — the number of OS threads that happened to execute the workers
+//! is unobservable. Everything runs in ONE `#[test]` function because the
+//! override is process-global.
 
 use rex_lns::toy::{
     GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    portfolio_search_recorded, CloneOracle, InPlaceModel, LnsConfig, PortfolioConfig,
-    PortfolioOutcome, SimulatedAnnealing,
+    cooperative_round, round_seed, Engine, LnsConfig, RoundJob, SearchOutcome, SimulatedAnnealing,
 };
-use rex_obs::Recorder;
 
-const WORKERS: usize = 6;
+const ITERS: u64 = 1_200;
 const SEED: u64 = 2024;
 
-fn cfg() -> PortfolioConfig {
-    PortfolioConfig {
-        workers: WORKERS,
-        engine: LnsConfig {
-            max_iters: 1_200,
-            ..Default::default()
-        },
-    }
+/// Six toy sub-problems of different sizes standing in for partitions.
+fn problems() -> Vec<PartitionProblem> {
+    (0..6)
+        .map(|i| PartitionProblem::random(24 + 5 * i, 3 + i % 2, 77 + i as u64))
+        .collect()
 }
 
-fn run_in_place(
-    problem: &PartitionProblem,
-    initial: &[usize],
-    rec: &mut Recorder,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio_search_recorded(
-        &initial.to_vec(),
-        SEED,
-        &cfg(),
-        |start| {
-            InPlaceModel::new(
+fn run_round(problems: &[PartitionProblem], round: u64) -> Vec<SearchOutcome<Vec<usize>>> {
+    let jobs: Vec<RoundJob<'_, PartitionProblem>> = problems
+        .iter()
+        .enumerate()
+        .map(|(p, problem)| RoundJob {
+            engine: Engine::new(
                 problem,
-                start,
+                problem.all_in_first_bin(),
                 vec![
                     Box::new(RandomRemoveInPlace),
                     Box::new(WorstBinRemoveInPlace),
                 ],
                 vec![Box::new(GreedyInsertInPlace)],
-            )
-        },
-        || Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
-        rec,
-    )
+                Box::new(SimulatedAnnealing::for_normalized_loads(ITERS as usize)),
+                LnsConfig {
+                    max_iters: ITERS,
+                    log_trajectory: true,
+                    ..Default::default()
+                },
+            ),
+            seed: round_seed(SEED, round, p),
+        })
+        .collect();
+    cooperative_round(jobs)
 }
 
-/// The same portfolio over the clone-based differential oracle: identical
-/// operator protocol and RNG consumption, reverts by cloning a saved state
-/// instead of replaying the undo log.
-fn run_oracle(
-    problem: &PartitionProblem,
-    initial: &[usize],
-    rec: &mut Recorder,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio_search_recorded(
-        &initial.to_vec(),
-        SEED,
-        &cfg(),
-        |start| {
-            CloneOracle::new(
-                problem,
-                start,
-                vec![
-                    Box::new(RandomRemoveInPlace),
-                    Box::new(WorstBinRemoveInPlace),
-                ],
-                vec![Box::new(GreedyInsertInPlace)],
-            )
-        },
-        || Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
-        rec,
-    )
-}
-
-fn assert_same(a: &PortfolioOutcome<Vec<usize>>, b: &PortfolioOutcome<Vec<usize>>, label: &str) {
-    assert_eq!(a.winner, b.winner, "{label}: winner differs");
-    assert_eq!(
-        a.best_objective, b.best_objective,
-        "{label}: objective differs"
-    );
-    assert_eq!(a.best, b.best, "{label}: best solution differs");
-    assert_eq!(
-        a.worker_results.len(),
-        b.worker_results.len(),
-        "{label}: worker count differs"
-    );
-    for (x, y) in a.worker_results.iter().zip(&b.worker_results) {
-        assert_eq!(x.worker, y.worker, "{label}: worker order differs");
+/// Bit-exact comparison of two rounds' outcomes, job by job.
+fn assert_same(a: &[SearchOutcome<Vec<usize>>], b: &[SearchOutcome<Vec<usize>>], label: &str) {
+    assert_eq!(a.len(), b.len(), "{label}: job count differs");
+    for (j, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.best, y.best, "{label}: job {j} best differs");
         assert_eq!(
-            x.objective, y.objective,
-            "{label}: worker {} objective differs",
-            x.worker
+            x.best_objective.to_bits(),
+            y.best_objective.to_bits(),
+            "{label}: job {j} objective differs"
         );
         assert_eq!(
             x.iterations, y.iterations,
-            "{label}: worker {} iterations differs",
-            x.worker
+            "{label}: job {j} iterations differ"
         );
+        assert_eq!(x.stats.accepted, y.stats.accepted, "{label}: job {j}");
+        assert_eq!(x.stats.new_bests, y.stats.new_bests, "{label}: job {j}");
+        let uses = |o: &SearchOutcome<Vec<usize>>| -> Vec<u64> {
+            o.stats.destroy_ops.iter().map(|s| s.uses).collect()
+        };
+        assert_eq!(uses(x), uses(y), "{label}: job {j} operator uses differ");
+        let traj = |o: &SearchOutcome<Vec<usize>>| -> Vec<(u64, u64)> {
+            o.trajectory
+                .iter()
+                .map(|t| (t.iteration, t.objective.to_bits()))
+                .collect()
+        };
+        assert_eq!(traj(x), traj(y), "{label}: job {j} trajectory differs");
     }
 }
 
 /// One test function on purpose: `set_threads_override` is process-global,
 /// and cargo runs `#[test]` functions on concurrent threads by default.
 #[test]
-fn portfolio_results_and_traces_are_thread_count_independent() {
-    let problem = PartitionProblem::random(40, 4, 77);
-    let initial = problem.all_in_first_bin();
+fn cooperative_rounds_are_thread_count_independent() {
+    let problems = problems();
 
-    // Reference runs with the default thread count.
+    // Reference run with the default thread count.
     rayon::set_threads_override(None);
-    let mut rec_ref = Recorder::active();
-    let in_place_ref = run_in_place(&problem, &initial, &mut rec_ref);
-    let jsonl_ref = rec_ref.to_jsonl();
-    assert!(!jsonl_ref.is_empty());
+    let reference: Vec<_> = (0..2).map(|round| run_round(&problems, round)).collect();
 
-    // The oracle model follows the exact same trajectory as the undo-log
-    // model — the spine's differential contract, here at portfolio scope.
-    let mut rec_oracle = Recorder::active();
-    let oracle_ref = run_oracle(&problem, &initial, &mut rec_oracle);
-    assert_same(&in_place_ref, &oracle_ref, "oracle portfolio");
-    assert_eq!(
-        rec_oracle.to_jsonl(),
-        jsonl_ref,
-        "oracle trace not byte-identical"
+    // Outcomes are in job order: job `j` solved problem `j`.
+    for (j, out) in reference[0].iter().enumerate() {
+        assert_eq!(out.best.len(), problems[j].items.len());
+        assert!(out.iterations > 0);
+    }
+    // Distinct rounds reseed every job.
+    assert!(
+        reference[0]
+            .iter()
+            .zip(&reference[1])
+            .any(|(a, b)| a.best != b.best || a.stats.accepted != b.stats.accepted),
+        "round seeds must differ between rounds"
     );
 
     for threads in [1usize, 2, 3, 8] {
         rayon::set_threads_override(Some(threads));
-
-        let mut rec = Recorder::active();
-        let p = run_in_place(&problem, &initial, &mut rec);
-        assert_same(
-            &in_place_ref,
-            &p,
-            &format!("in-place portfolio @{threads}t"),
-        );
-        assert_eq!(
-            rec.to_jsonl(),
-            jsonl_ref,
-            "trace not byte-identical with {threads} threads"
-        );
-
-        let mut rec_o = Recorder::active();
-        let o = run_oracle(&problem, &initial, &mut rec_o);
-        assert_same(&in_place_ref, &o, &format!("oracle portfolio @{threads}t"));
-        assert_eq!(
-            rec_o.to_jsonl(),
-            jsonl_ref,
-            "oracle trace not byte-identical with {threads} threads"
-        );
+        for (round, expected) in reference.iter().enumerate() {
+            let got = run_round(&problems, round as u64);
+            assert_same(expected, &got, &format!("round {round} @{threads}t"));
+        }
     }
 
     rayon::set_threads_override(None);

@@ -199,7 +199,6 @@ impl Coupling {
         let cfg = SraConfig {
             iters: self.cfg.iters,
             seed,
-            workers: 1,
             objective: Objective::pure(ObjectiveKind::PeakLoad),
             ..Default::default()
         };

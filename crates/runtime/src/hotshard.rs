@@ -458,7 +458,6 @@ pub fn plan_hotshard_migration(
     let cfg = SolveOptions::new()
         .iters(hs.delta_iters)
         .seed(seed)
-        .workers(1)
         .build_for(snapshot)
         .map_err(|e| format!("hotshard solver config: {e}"))?;
     let out =

@@ -16,6 +16,7 @@
 //! Recording is an append-only side channel: it never perturbs the run.
 
 use rex_cluster::{Instance, WorkloadSpec};
+use rex_workload::popularity::is_permutation;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -94,10 +95,19 @@ pub fn parse_jsonl(text: &str) -> Result<(WorkloadSpec, Instance, Vec<TraceLine>
         .inst
         .validate()
         .map_err(|e| format!("trace instance invalid: {e}"))?;
+    let n_shards = header.inst.n_shards();
     let mut events = Vec::new();
     for (i, l) in lines.enumerate() {
         let line: TraceLine =
             serde_json::from_str(l).map_err(|e| format!("bad trace line {}: {e}", i + 2))?;
+        // A replay pins these ranks verbatim, so a malformed line must be
+        // refused here rather than panic mid-run.
+        if line.kind == "popularity" && !is_permutation(&line.ranks, n_shards) {
+            return Err(format!(
+                "bad trace line {}: popularity ranks must be a permutation of 0..{n_shards}",
+                i + 2
+            ));
+        }
         events.push(line);
     }
     Ok((header.workload, header.inst, events))
@@ -148,6 +158,7 @@ mod tests {
     fn tiny_instance() -> Instance {
         let mut b = rex_cluster::InstanceBuilder::new(1);
         let m = b.machine(&[10.0]);
+        b.shard(&[1.0], 0.1, m);
         b.shard(&[1.0], 0.1, m);
         b.build().unwrap()
     }
@@ -214,5 +225,17 @@ mod tests {
         let mut text = write_jsonl(&w, &inst, &[]);
         text.push_str("{\"oops\": true}\n");
         assert!(parse_jsonl(&text).is_err());
+        // A popularity line must carry a permutation of the header
+        // instance's shards; replay pins it verbatim.
+        let popularity = |ranks: Vec<u32>| TraceLine {
+            ranks,
+            ..TraceLine::at(30, "popularity")
+        };
+        assert!(parse_jsonl(&write_jsonl(&w, &inst, &[popularity(vec![1, 0])])).is_ok());
+        for bad in [vec![0, 0], vec![0, 2], vec![0], vec![0, 1, 2], vec![]] {
+            let text = write_jsonl(&w, &inst, &[popularity(bad.clone())]);
+            let err = parse_jsonl(&text).unwrap_err();
+            assert!(err.contains("permutation"), "{bad:?}: {err}");
+        }
     }
 }

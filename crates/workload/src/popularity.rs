@@ -90,17 +90,28 @@ impl PopularityWalk {
     /// Pins the walk to an externally recorded permutation (trace replay).
     ///
     /// # Panics
-    /// If `ranks` is not a permutation of `0..len`.
+    /// If `ranks` is not a permutation of `0..len` — callers replaying
+    /// untrusted input check it first with [`is_permutation`].
     pub fn set_ranks(&mut self, ranks: Vec<u32>) {
-        assert_eq!(ranks.len(), self.ranks.len(), "rank vector length mismatch");
-        let mut seen = vec![false; ranks.len()];
-        for &r in &ranks {
-            let r = r as usize;
-            assert!(r < seen.len() && !seen[r], "ranks must be a permutation");
-            seen[r] = true;
-        }
+        assert!(
+            is_permutation(&ranks, self.ranks.len()),
+            "ranks must be a permutation"
+        );
         self.ranks = ranks;
     }
+}
+
+/// Whether `ranks` is a permutation of `0..n` — the shape
+/// [`PopularityWalk::set_ranks`] requires.
+pub fn is_permutation(ranks: &[u32], n: usize) -> bool {
+    if ranks.len() != n {
+        return false;
+    }
+    let mut seen = vec![false; n];
+    ranks.iter().all(|&r| {
+        let r = r as usize;
+        r < n && !std::mem::replace(&mut seen[r], true)
+    })
 }
 
 /// Rewrites shard CPU demands (dimension 0) as a pure function of the

@@ -180,8 +180,10 @@ fn capacity_scales(cfg: &SynthConfig) -> (Vec<f64>, Vec<f64>) {
 /// Generates an instance.
 ///
 /// # Errors
-/// Propagates instance validation errors; generation itself panics only on
-/// nonsensical parameters (zero counts, stringency outside `(0,1)`).
+/// [`ClusterError::TooFewShards`] when `n_shards` cannot reach the target
+/// utilization under the per-shard size cap; otherwise propagates instance
+/// validation errors. Generation itself panics only on nonsensical
+/// parameters (zero counts, stringency outside `(0,1)`).
 pub fn generate(cfg: &SynthConfig) -> Result<Instance, ClusterError> {
     let (loaded_scales, exchange_scales) = capacity_scales(cfg);
     let label = format!(
@@ -265,12 +267,14 @@ fn generate_with_scales(
     // Shards must stay placeable on the *smallest* machine.
     let min_scale = loaded_scales.iter().cloned().fold(f64::INFINITY, f64::min);
     let shard_cap = MAX_SHARD_FRAC * min_scale;
-    let mut demands = draw_demands(cfg, &mut rng);
     let target = loaded_capacity * cfg.stringency;
-    assert!(
-        target <= cfg.n_shards as f64 * shard_cap,
-        "too few shards to reach the target utilization under the per-shard cap"
-    );
+    if target > cfg.n_shards as f64 * shard_cap {
+        return Err(ClusterError::TooFewShards {
+            shards: cfg.n_shards,
+            required: (target / shard_cap).ceil() as usize,
+        });
+    }
+    let mut demands = draw_demands(cfg, &mut rng);
     for r in 0..cfg.dims {
         for _ in 0..32 {
             let total: f64 = demands.iter().map(|d| d[r]).sum();
@@ -764,5 +768,45 @@ mod tests {
             ..Default::default()
         };
         let _ = generate(&cfg);
+    }
+
+    #[test]
+    fn too_few_shards_is_a_typed_error() {
+        // The heterogeneous example fleet scaled 10× keeps its shard count,
+        // which cannot fill 10× the capacity under the per-shard cap.
+        let mut w: WorkloadSpec = serde_json::from_str(include_str!(
+            "../../../examples/workload_heterogeneous.json"
+        ))
+        .unwrap();
+        let fleet = w.fleet.as_mut().unwrap();
+        for g in &mut fleet.generations {
+            g.count *= 10;
+        }
+        let base = SynthConfig {
+            n_shards: 160,
+            ..Default::default()
+        };
+        match generate_workload(&w, &base) {
+            Err(ClusterError::TooFewShards { shards, required }) => {
+                assert_eq!(shards, 160);
+                assert!(required > shards, "required {required}");
+                // With the required count the same fleet generates.
+                let enough = SynthConfig {
+                    n_shards: required,
+                    ..base
+                };
+                generate_workload(&w, &enough).unwrap();
+            }
+            other => panic!("expected TooFewShards, got {other:?}"),
+        }
+        // The plain generator reports it the same way.
+        let err = generate(&SynthConfig {
+            n_machines: 200,
+            n_shards: 10,
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(matches!(err, ClusterError::TooFewShards { shards: 10, .. }));
+        assert!(err.to_string().contains("at least"), "{err}");
     }
 }

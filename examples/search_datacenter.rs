@@ -48,12 +48,12 @@ fn main() {
             / (inst.n_machines() - inst.n_exchange()) as f64,
     );
 
-    println!("\nrunning SRA (parallel portfolio, 4 workers)…");
+    println!("\nrunning SRA (decomposed, 3 partitions)…");
     let sra = solve(
         &inst,
         &SraConfig {
             iters: 6_000,
-            workers: 4,
+            partitions: 3,
             seed: 7,
             ..Default::default()
         },

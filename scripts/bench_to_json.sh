@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Solver perf trajectory: times the serial engine spine, the portfolio,
-# and the decomposed search, writing machine-readable records to
+# Solver perf trajectory: times the serial engine spine and the
+# decomposed search, writing machine-readable records to
 # BENCH_solver.json at the repo root (schema documented in EXPERIMENTS.md
 # §"Perf trajectory").
 # Usage: scripts/bench_to_json.sh [--quick] [--check]

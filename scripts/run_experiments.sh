@@ -45,8 +45,8 @@ tracedir=$(mktemp -d)
 ./target/release/rex simulate --ticks 1500 --seed 7 --quiet --trace "$tracedir/b.jsonl"
 cmp "$tracedir/a.jsonl" "$tracedir/b.jsonl"
 test -s "$tracedir/a.jsonl"
-REX_THREADS=1 ./target/release/rex trace --seed 42 --workers 4 --iters 1500 --out "$tracedir/s1.jsonl" >/dev/null
-REX_THREADS=8 ./target/release/rex trace --seed 42 --workers 4 --iters 1500 --out "$tracedir/s8.jsonl" >/dev/null
+REX_THREADS=1 ./target/release/rex trace --seed 42 --partitions 4 --depth 2 --iters 1500 --out "$tracedir/s1.jsonl" >/dev/null
+REX_THREADS=8 ./target/release/rex trace --seed 42 --partitions 4 --depth 2 --iters 1500 --out "$tracedir/s8.jsonl" >/dev/null
 cmp "$tracedir/s1.jsonl" "$tracedir/s8.jsonl"
 REX_THREADS=1 ./target/release/rex trace --seed 42 --iters 1500 --out "$tracedir/e1.jsonl" >/dev/null
 REX_THREADS=8 ./target/release/rex trace --seed 42 --iters 1500 --out "$tracedir/e8.jsonl" >/dev/null
@@ -115,6 +115,6 @@ REX_THREADS=8 ./target/release/exp_convergence > "$tracedir/ct8.md"
 cmp "$tracedir/ct1.md" "$tracedir/ct8.md"
 test -s "$tracedir/c1.md"
 rm -rf "$tracedir"
-echo "traces byte-identical across runs and thread counts (serial spine, portfolio, decomposed, hotshard, router, cross-engine)"
+echo "traces byte-identical across runs and thread counts (serial spine, decomposed depth 1 and 2, hotshard, router, cross-engine)"
 
 echo "All experiment outputs written to $outdir/."

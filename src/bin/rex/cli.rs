@@ -17,7 +17,7 @@ use std::collections::HashMap;
 /// Iteration/parallelism knobs shared by every command that runs the SRA
 /// solver (`solve`, `trace`). Validated downstream by
 /// `rex_core::SolveOptions`.
-pub const SOLVER_FLAGS: &[&str] = &["iters", "workers", "partitions", "depth"];
+pub const SOLVER_FLAGS: &[&str] = &["iters", "partitions", "depth"];
 
 /// On-the-spot instance synthesis, shared by `generate`, `simulate`, and
 /// `trace`.
@@ -304,6 +304,11 @@ mod tests {
         assert!(err.contains("--bogus"), "error names the flag: {err}");
         // A valid flag of a *different* command is still unknown here.
         assert!(parse_args(&argv(&["--ticks", "100"]), spec).is_err());
+        // The retired portfolio width is gone from both solver commands.
+        for cmd in ["solve", "trace"] {
+            let err = parse_args(&argv(&["--workers", "4"]), spec_of(cmd).unwrap()).unwrap_err();
+            assert!(err.contains("--workers"), "{cmd}: {err}");
+        }
     }
 
     #[test]

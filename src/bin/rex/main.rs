@@ -4,7 +4,7 @@
 //! rex generate --family correlated --machines 24 --exchange 3 --shards 240 \
 //!              --stringency 0.8 --alpha 0.1 --seed 1 --out inst.json
 //! rex inspect  --inst inst.json
-//! rex solve    --inst inst.json --iters 8000 --workers 4 --out solution.json
+//! rex solve    --inst inst.json --iters 8000 --partitions 4 --out solution.json
 //! rex baseline --inst inst.json --method greedy
 //! rex verify   --inst inst.json --solution solution.json
 //! rex simulate --ticks 10000 --controller sra --crash-at 3000 --out run.json
@@ -130,7 +130,7 @@ fn workload_inputs(
 }
 
 /// Builds the validated solver configuration from the shared solver flags
-/// (`--iters`, `--workers`, `--partitions`, `--depth`, `--seed`) — the
+/// (`--iters`, `--partitions`, `--depth`, `--seed`) — the
 /// one config path `solve` and `trace` have in common.
 fn solver_config(
     args: &HashMap<String, String>,
@@ -139,7 +139,6 @@ fn solver_config(
 ) -> Result<SraConfig, String> {
     SolveOptions::new()
         .iters(parse(get_or(args, "iters", default_iters), "u64")?)
-        .workers(parse(get_or(args, "workers", "1"), "usize")?)
         .partitions(parse(get_or(args, "partitions", "0"), "usize")?)
         .depth(parse(get_or(args, "depth", "1"), "usize")?)
         .seed(parse(get_or(args, "seed", "42"), "u64")?)
@@ -858,7 +857,7 @@ const USAGE: &str =
            [--shards N] [--dims N] [--stringency F] [--alpha F] [--seed N]
            [--profile homogeneous|two-tier|big-exchange]
   inspect  --inst FILE
-  solve    --inst FILE [--iters N] [--workers N] [--partitions K] [--depth D]
+  solve    --inst FILE [--iters N] [--partitions K] [--depth D]
            [--seed N] [--out FILE]
            [--drain M1,M2,...]   (machines to decommission: must end vacant)
   baseline --inst FILE [--method greedy|local-search|ffd]
@@ -898,16 +897,16 @@ const USAGE: &str =
             workload mode runs the spec's scenario/fleet/rack planes — load
             scripts are tick-engine-only, use simulate)
   trace    [--inst FILE | --machines N --shards N --exchange N]
-           [--iters N] [--workers N] [--partitions K] [--depth D] [--seed N]
+           [--iters N] [--partitions K] [--depth D] [--seed N]
            [--out FILE]
            (one traced SRA solve: prints the roll-up, --out writes JSONL)
 
-Solver scaling (shared by solve/trace): --workers W runs a W-way
-independent portfolio, --partitions K the cooperative decomposed solver
-over K shard-disjoint neighborhoods, and --depth D (with K > 1) the
-hierarchical decomposition that re-partitions each neighborhood
-recursively to depth D for web-scale fleets; all are deterministic for a
-fixed seed regardless of thread count (REX_THREADS). Out-of-range solver
+Solver scaling (shared by solve/trace): --partitions K runs the
+cooperative decomposed solver over K shard-disjoint neighborhoods, and
+--depth D (with K > 1) re-partitions each neighborhood recursively to
+depth D for web-scale fleets; without --partitions the serial engine
+runs. Both are deterministic for a fixed seed regardless of thread count
+(REX_THREADS). Out-of-range solver
 flags are rejected before the search starts (e.g. --iters 0, --depth 0,
 --partitions exceeding the fleet).";
 

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use resource_exchange::cluster::{Assignment, Objective, ObjectiveKind};
 use resource_exchange::core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
-use resource_exchange::lns::{LnsProblem, LnsProblemInPlace};
+use resource_exchange::lns::LnsProblem;
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
@@ -99,7 +99,7 @@ fn property_gates_are_not_vacuous() {
                 d.name()
             );
             let _ = r.repair(&p, &mut state, &mut rng);
-            LnsProblemInPlace::revert(&p, &mut state);
+            LnsProblem::revert(&p, &mut state);
             exercised += 1;
         }
     }
@@ -132,7 +132,7 @@ proptest! {
             for r in &repairs {
                 d.destroy(&p, &mut state, 0.3, &mut rng);
                 let _ = r.repair(&p, &mut state, &mut rng);
-                LnsProblemInPlace::revert(&p, &mut state);
+                LnsProblem::revert(&p, &mut state);
                 let after = fingerprint(&inst, state.solution());
                 prop_assert_eq!(
                     &before, &after,
@@ -179,9 +179,9 @@ proptest! {
                 );
             }
             if !repaired || round % 3 == 0 {
-                LnsProblemInPlace::revert(&p, &mut state);
+                LnsProblem::revert(&p, &mut state);
             } else {
-                LnsProblemInPlace::commit(&p, &mut state);
+                LnsProblem::commit(&p, &mut state);
             }
             // The objective of the settled state always matches too.
             let delta = p.state_objective(&mut state);
