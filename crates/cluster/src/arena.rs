@@ -270,6 +270,32 @@ impl PackedVecs {
         true
     }
 
+    /// `row[i] + rhs·factor <= cap` within [`crate::EPS`] — bit-identical
+    /// to `ResourceVec::fits_after_add(&rhs.scaled(factor), cap)` (each
+    /// `rhs[d] * factor` is the same rounded product `scaled` stores), but
+    /// without the 72-byte temporary. This is the solver's transient
+    /// admissibility check: one call per candidate machine in every repair
+    /// scan.
+    #[inline]
+    pub fn fits_after_add_scaled(
+        &self,
+        i: usize,
+        rhs: &ResourceVec,
+        factor: f64,
+        cap: &ResourceVec,
+    ) -> bool {
+        debug_assert_eq!(rhs.dims(), self.dims);
+        debug_assert_eq!(cap.dims(), self.dims);
+        debug_assert!(factor.is_finite() && factor >= 0.0);
+        let row = self.row(i);
+        for (d, &u) in row.iter().enumerate() {
+            if u + rhs[d] * factor > cap[d] + crate::EPS {
+                return false;
+            }
+        }
+        true
+    }
+
     /// `(row[i] + a) + b <= cap` within [`crate::EPS`] — bit-identical to
     /// materializing `row[i]`, adding `a`, then calling
     /// `ResourceVec::fits_after_add(b, cap)` (the parenthesization matches
@@ -350,6 +376,13 @@ mod tests {
                 plain_row.fits_after_add(&delta, &cap)
             );
             assert_eq!(packed.fits_within(i, &cap), plain_row.fits_within(&cap));
+            for factor in [0.0, 1.1, 1.0 + 1e-9, 3.0] {
+                assert_eq!(
+                    packed.fits_after_add_scaled(i, &delta, factor, &cap),
+                    plain_row.fits_after_add(&delta.scaled(factor), &cap),
+                    "factor {factor}"
+                );
+            }
 
             packed.add_assign(i, &delta);
             *plain_row += &delta;

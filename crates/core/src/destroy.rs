@@ -1,7 +1,11 @@
 //! Destroy operators: choose which shards to detach.
 //!
-//! Each operator detaches between one and `cap` shards, scaling with the
-//! engine-supplied intensity. The cap keeps destroy size bounded on large
+//! The shard-count operators detach `ceil(intensity · shards)` shards,
+//! clamped to at most `cap` and at least three — a floor that overrides a
+//! smaller `cap`, and is lowered only on instances with fewer than three
+//! shards (see `removal_count`). The machine-exchange operator empties one
+//! machine hosting at most `cap` shards, or detaches one random shard when
+//! no machine qualifies. The cap keeps destroy size bounded on large
 //! instances — repairing hundreds of shards per iteration would dominate
 //! the iteration budget without improving search quality.
 //!
@@ -74,44 +78,56 @@ impl DestroyInPlace<SraProblem<'_>> for WorstMachineRemoval {
     }
 
     fn destroy(&self, p: &SraProblem<'_>, state: &mut SraState, intensity: f64, rng: &mut StdRng) {
-        let inst = p.inst;
-        let k = removal_count(inst.n_shards(), intensity, self.cap);
-        let mut hot = std::mem::take(&mut state.scored);
+        let k = removal_count(p.inst.n_shards(), intensity, self.cap);
         for _ in 0..k {
             // Rank occupied machines by the *cached* load (kept current by
             // `detach`); sample among the top 3 so repeated invocations
             // explore different evacuation patterns.
-            hot.clear();
-            hot.extend(
-                (0..inst.n_machines())
-                    .filter(|&i| !state.asg.shards_on(MachineId::from(i)).is_empty())
-                    .map(|i| (state.loads[i], i as u32)),
-            );
-            if hot.is_empty() {
+            let (top, occupied) = hottest_three(state);
+            if occupied == 0 {
                 break;
             }
-            hot.sort_unstable_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            let pick = rng.random_range(0..hot.len().min(3));
-            let machine = MachineId::from(hot[pick].1 as usize);
+            let pick = rng.random_range(0..occupied.min(3));
+            let machine = MachineId::from(top[pick] as usize);
+            let norms = &state.demand_norm;
             let s = *state
                 .asg
                 .shards_on(machine)
                 .iter()
                 .max_by(|a, b| {
-                    inst.demand(**a)
-                        .norm()
-                        .partial_cmp(&inst.demand(**b).norm())
+                    norms[a.idx()]
+                        .partial_cmp(&norms[b.idx()])
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("machine is occupied");
             state.detach(p, s);
         }
-        state.scored = hot;
     }
+}
+
+/// The three most-loaded occupied machines in `(load desc, id asc)` order —
+/// the head of a full sort under that key — plus the number of occupied
+/// machines, in one pass over the fleet. Machines are visited in id order,
+/// so a later machine only moves ahead of a held one with a strictly
+/// higher load.
+fn hottest_three(state: &SraState) -> ([u32; 3], usize) {
+    let mut top = [(f64::NEG_INFINITY, 0u32); 3];
+    let mut occupied = 0usize;
+    for (i, &load) in state.loads.iter().enumerate() {
+        if state.asg.is_vacant(MachineId::from(i)) {
+            continue;
+        }
+        let mut pos = occupied.min(3);
+        while pos > 0 && top[pos - 1].0 < load {
+            pos -= 1;
+        }
+        if pos < 3 {
+            top.copy_within(pos..2, pos + 1);
+            top[pos] = (load, i as u32);
+        }
+        occupied += 1;
+    }
+    (top.map(|(_, m)| m), occupied)
 }
 
 /// Shaw-style related removal: detaches shards whose demand vectors are
@@ -158,9 +174,10 @@ impl DestroyInPlace<SraProblem<'_>> for RelatedRemoval {
 /// This is the **resource-exchange move**: with the machine empty, the
 /// repair pass may leave it vacant, making it eligible for return in place
 /// of a borrowed exchange machine — the membership exchange the paper's
-/// scheme allows. Machines with fewer shards are preferred (cheaper to
-/// evacuate); exchange machines can be evacuated too, which undoes an
-/// earlier occupation.
+/// scheme allows. The machine is drawn uniformly among the occupied ones
+/// hosting at most `cap` shards (the cap bounds the evacuation's cost);
+/// exchange machines can be evacuated too, which undoes an earlier
+/// occupation.
 #[derive(Clone, Copy, Debug)]
 pub struct MachineExchangeRemoval {
     /// Upper bound on the number of shards the chosen machine may host.
@@ -277,6 +294,42 @@ mod tests {
             from_hot > 10,
             "hot machine should be targeted often, got {from_hot}"
         );
+    }
+
+    #[test]
+    fn hottest_three_is_the_head_of_the_full_sort() {
+        // Pairs of identical machines and shards: equal loads, so the
+        // id tie-break is exercised.
+        let mut b = InstanceBuilder::new(2);
+        let machines: Vec<MachineId> = (0..8).map(|_| b.machine(&[10.0, 10.0])).collect();
+        for (i, &m) in machines.iter().enumerate() {
+            let size = 1.0 + (i / 2) as f64;
+            b.shard(&[size, 1.0], 1.0, m);
+            b.shard(&[1.0, size], 1.0, m);
+        }
+        let inst = b.build().unwrap();
+        let p = SraProblem::new(&inst, Objective::default());
+        let mut state = p.make_state(Assignment::from_initial(&inst));
+        let mut r = rng();
+        for _ in 0..200 {
+            for _ in 0..r.random_range(0..6) {
+                let s = ShardId::from(r.random_range(0..inst.n_shards()));
+                if !state.solution().is_detached(s) {
+                    state.detach(&p, s);
+                }
+            }
+            let mut sorted: Vec<(f64, u32)> = (0..inst.n_machines())
+                .filter(|&i| !state.solution().is_vacant(MachineId::from(i)))
+                .map(|i| (state.loads()[i], i as u32))
+                .collect();
+            sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+            let (top, occupied) = hottest_three(&state);
+            assert_eq!(occupied, sorted.len());
+            for (k, &(_, m)) in sorted.iter().take(3).enumerate() {
+                assert_eq!(top[k], m, "slot {k} of {sorted:?}");
+            }
+            LnsProblem::revert(&p, &mut state);
+        }
     }
 
     #[test]

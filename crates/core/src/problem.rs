@@ -38,6 +38,28 @@ pub struct SraProblem<'a> {
     drained: Vec<bool>,
 }
 
+/// Relative slack of [`beats_floor`]: 2⁻⁴⁵ (128 ulps), far above the
+/// handful of roundings in an insertion score and in `loads[m] + lift`.
+const FLOOR_SLACK: f64 = 1.0 / (1u64 << 45) as f64;
+
+/// Whether a machine with cached load `load` — and so every machine loaded
+/// at least as much — provably scores at least `bound` for a shard whose
+/// scores there are floored by `load + lift`: the shard's lift from
+/// [`SraProblem::insertion_lifts`] on non-initial machines, `0` on its
+/// initial one. The load-ordered repair scans stop at the first machine
+/// for which this holds: no later machine can strictly beat `bound`.
+#[inline]
+pub(crate) fn beats_floor(load: f64, lift: f64, bound: f64) -> bool {
+    load + lift >= bound + bound.abs() * FLOOR_SLACK
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`SraProblem::insertion_score`] on this thread — lets unit
+    /// tests pin how many score evaluations a repair performs.
+    pub(crate) static SCORE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Smallest-first departure cascade for one machine: a shard can leave once
 /// `α·d` fits in the headroom freed by earlier (smaller) departures.
 fn compute_escapable(inst: &Instance) -> Vec<bool> {
@@ -140,11 +162,13 @@ impl<'a> SraProblem<'a> {
         if m == self.inst.initial[s.idx()] {
             asg.fits(self.inst, s, m)
         } else {
-            self.escapable[s.idx()] && {
-                let inflight = self.inst.demand(s).scaled(1.0 + self.inst.alpha);
-                asg.usage_rows()
-                    .fits_after_add(m.idx(), &inflight, self.inst.capacity(m))
-            }
+            self.escapable[s.idx()]
+                && asg.usage_rows().fits_after_add_scaled(
+                    m.idx(),
+                    self.inst.demand(s),
+                    1.0 + self.inst.alpha,
+                    self.inst.capacity(m),
+                )
         }
     }
 
@@ -161,6 +185,8 @@ impl<'a> SraProblem<'a> {
     /// depends on the choice of `m`.
     #[inline]
     pub fn insertion_score(&self, asg: &Assignment, s: ShardId, m: MachineId) -> Option<f64> {
+        #[cfg(test)]
+        SCORE_CALLS.with(|c| c.set(c.get() + 1));
         if !self.admissible(asg, s, m) {
             return None;
         }
@@ -207,6 +233,48 @@ impl<'a> SraProblem<'a> {
         } else {
             0.0
         }
+    }
+
+    /// Per-shard lift of the repair scans' lower bound on insertion
+    /// scores (see [`beats_floor`]): for every machine `m` other than `s`'s
+    /// initial one, `insertion_score(s, m) ≳ loads[m] + lift[s]`.
+    ///
+    /// Let dimension `k` set `m`'s load, `L = u_k / c_k`. Inserting `s`
+    /// raises that ratio to `(u_k + demand_k) / c_k = L + demand_k / c_k`,
+    /// and the score is at least that ratio plus the migration penalty. So
+    /// `score ≥ L + pen + min_d(demand_d / cmax_d)`, where `cmax_d` is the
+    /// fleet's largest capacity in dimension `d` — a per-shard constant.
+    /// The few roundings on either side are absorbed by [`beats_floor`]'s
+    /// relative slack. A shard with a negative or non-finite penalty gets
+    /// the plain `lift = pen`, for which `loads[m] + pen ≤ score` holds
+    /// exactly (rounded addition is monotone).
+    pub(crate) fn insertion_lifts(&self) -> Vec<f64> {
+        let inst = self.inst;
+        let mut cmax = [0.0f64; rex_cluster::MAX_DIMS];
+        for m in &inst.machines {
+            for (d, c) in cmax.iter_mut().enumerate().take(inst.dims) {
+                *c = c.max(m.capacity[d]);
+            }
+        }
+        (0..inst.n_shards())
+            .map(|i| {
+                let s = ShardId::from(i);
+                let pen = self.insertion_penalty(s);
+                if !(pen.is_finite() && pen >= 0.0) {
+                    return pen;
+                }
+                let demand = inst.demand(s);
+                let step = (0..inst.dims)
+                    .filter(|&d| cmax[d] > 0.0)
+                    .map(|d| demand[d] / cmax[d])
+                    .fold(f64::INFINITY, f64::min);
+                if step.is_finite() && step >= 0.0 {
+                    pen + step
+                } else {
+                    pen
+                }
+            })
+            .collect()
     }
 
     /// Cached total move cost (normalizer of the migration penalty).

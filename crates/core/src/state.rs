@@ -1,11 +1,12 @@
 //! The in-place search state for SRA: one working assignment plus the
 //! incremental caches that make delta objective evaluation cheap.
 //!
-//! The clone-based hot loop copies the whole `Assignment` every iteration
-//! and re-derives peak load, mean-square load, and migration cost from
-//! scratch — `O(shards + machines·dims)` per candidate. [`SraState`]
-//! instead tracks those quantities incrementally under the edits of one
-//! destroy/repair burst:
+//! The engine edits one [`SraState`] for the whole search: destroys detach
+//! shards, repairs re-attach them, and a rejected candidate is rolled back
+//! through the undo log instead of being rebuilt. Re-deriving peak load,
+//! mean-square load and migration cost from scratch would cost
+//! `O(shards + machines·dims)` per candidate, so the state tracks them
+//! incrementally under the edits of one destroy/repair burst:
 //!
 //! * `loads[m]` — the normalized load of every machine, refreshed in
 //!   `O(dims)` whenever a shard is detached from / attached to `m`;
@@ -24,10 +25,15 @@
 //! usages (a pure function, hence bit-identical), and the scalar
 //! accumulators are copied back from the [`ScalarBase`] taken at the last
 //! commit. Accumulator drift (`sumsq`, `mig_cost` are running sums of
-//! floating-point deltas) is bounded by a full resynchronization every
-//! [`RESYNC_EVERY`] commits.
+//! floating-point deltas) is kept delta-sized by compensated summation, with
+//! a full resynchronization every [`RESYNC_EVERY`] commits as a backstop.
+//!
+//! The state also owns the operators' scratch — index pools, the regret
+//! repair's top-3 entries and score memo, the load-sorted scan order — so
+//! the steady-state hot loop allocates nothing.
 
 use crate::problem::SraProblem;
+use crate::repair::ScoreMemo;
 use rex_cluster::{
     plan_migration, Assignment, Instance, MachineId, PlannerConfig, ShardId, UndoLog,
 };
@@ -132,10 +138,13 @@ pub struct SraState {
     pub(crate) scored: Vec<(f64, u32)>,
     /// Best/second-best cache for the incremental regret-2 repair.
     pub(crate) regret: Vec<RegretEntry>,
-    /// Per-shard migration penalty (`insertion_penalty`, assignment-free):
-    /// together with `loads` it lower-bounds any insertion score, letting
-    /// repair scans skip machines that cannot beat the running incumbent.
-    pub(crate) pen: Vec<f64>,
+    /// Insertion-score memo for the regret-2 repair.
+    pub(crate) score_memo: ScoreMemo,
+    /// Per-shard lift of the repair scans' score floor
+    /// ([`SraProblem::insertion_lifts`], assignment-free): with `loads` it
+    /// lower-bounds the insertion score on any non-initial machine, letting
+    /// scans skip machines that cannot beat the running incumbent.
+    pub(crate) lift: Vec<f64>,
     /// Machine ids sorted by `(load, id)` ascending — the repair scan
     /// order. Rebuilt at the start of each in-place repair, repositioned
     /// after each attach.
@@ -194,9 +203,8 @@ impl SraState {
             pool: Vec::new(),
             scored: Vec::new(),
             regret: Vec::new(),
-            pen: (0..inst.n_shards())
-                .map(|i| p.insertion_penalty(ShardId::from(i)))
-                .collect(),
+            score_memo: ScoreMemo::default(),
+            lift: p.insertion_lifts(),
             order: Vec::with_capacity(n),
             demand_norm: (0..inst.n_shards())
                 .map(|i| inst.demand(ShardId::from(i)).norm())

@@ -16,7 +16,7 @@
 //! parallel tests in the same binary would race the counter.
 
 use rand::{rngs::StdRng, SeedableRng};
-use rex_cluster::{Assignment, Objective, ObjectiveKind};
+use rex_cluster::{Assignment, Instance, Objective, ObjectiveKind};
 use rex_core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
 use rex_lns::LnsProblem;
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
@@ -51,27 +51,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_hot_loop_does_not_allocate() {
-    let inst = generate(&SynthConfig {
-        n_machines: 24,
-        n_exchange: 3,
-        n_shards: 200,
-        stringency: 0.85,
-        family: DemandFamily::Correlated,
-        placement: Placement::Hotspot(0.4),
-        seed: 13,
-        ..Default::default()
-    })
-    .expect("generate");
+/// Runs `warmup` and then 600 measured steady-state destroy → repair →
+/// commit/revert cycles on `inst` with the default operators at destroy
+/// cap `cap`, and returns the allocations the measured phase made.
+fn steady_state_allocations(inst: &Instance, cap: usize, warmup: usize) -> u64 {
     // No plan checks: `plan_migration` builds fresh schedules and is not
     // part of the per-iteration hot path this test pins down.
     let problem =
-        SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad)).without_plan_checks();
-    let initial = Assignment::from_initial(&inst);
+        SraProblem::new(inst, Objective::pure(ObjectiveKind::PeakLoad)).without_plan_checks();
+    let initial = Assignment::from_initial(inst);
     assert!(LnsProblem::is_feasible(&problem, &initial));
 
-    let destroys = default_destroys_in_place(32);
+    let destroys = default_destroys_in_place(cap);
     let repairs = default_repairs_in_place();
     let mut rng = StdRng::seed_from_u64(7);
     let mut state = problem.make_state(initial);
@@ -98,17 +89,54 @@ fn steady_state_hot_loop_does_not_allocate() {
     // Warmup at the highest intensity the steady phase will see: grows the
     // undo log, detach scratch, and every operator's candidate buffers to
     // their high-water marks.
-    cycle(&mut state, &mut rng, 0.25, 400);
+    cycle(&mut state, &mut rng, 0.25, warmup);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     cycle(&mut state, &mut rng, 0.2, 600);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
 
-    let grown = after - before;
+#[test]
+fn steady_state_hot_loop_does_not_allocate() {
+    let inst = generate(&SynthConfig {
+        n_machines: 24,
+        n_exchange: 3,
+        n_shards: 200,
+        stringency: 0.85,
+        family: DemandFamily::Correlated,
+        placement: Placement::Hotspot(0.4),
+        seed: 13,
+        ..Default::default()
+    })
+    .expect("generate");
+    let grown = steady_state_allocations(&inst, 32, 400);
     assert!(
         grown <= 6,
         "steady-state destroy/repair/commit/revert allocated {grown} times \
          in 600 iterations; only rare shards_on high-water growth is allowed"
+    );
+
+    // The controller's destroy cap, on drift_sra's fleet shape: 400 shards
+    // at intensity 0.2–0.25 ask for 80–100 detaches, so the shard-count
+    // destroys run at the cap of 64 and the regret repair's score memo and
+    // slot index reach their largest size (64 rows × 45 machines).
+    let fleet = generate(&SynthConfig {
+        n_machines: 40,
+        n_exchange: 5,
+        n_shards: 400,
+        placement: Placement::Hotspot(0.4),
+        seed: 1,
+        ..Default::default()
+    })
+    .expect("generate");
+    // A longer warmup: with 400 shards on 45 machines the per-machine
+    // `shards_on` lists take longer to reach their high-water marks.
+    let grown = steady_state_allocations(&fleet, 64, 1_200);
+    assert!(
+        grown <= 6,
+        "cap 64: steady-state destroy/repair/commit/revert allocated {grown} \
+         times in 600 iterations; only rare shards_on high-water growth is \
+         allowed"
     );
 
     // The kernel-backed fleet totals are scan_with reductions over fixed

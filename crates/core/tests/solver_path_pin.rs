@@ -1,14 +1,16 @@
-//! Golden pin of the decomposed solver path.
+//! Golden pins of the solver paths.
 //!
-//! Each row fingerprints one `solve` — an FNV-1a hash of the final
+//! Each row fingerprints one solve — an FNV-1a hash of the final
 //! placement, the objective's bits, and the iteration count — on a seeded
-//! synthetic instance, at tree depth 1 (one split into leaves) and depth 2.
-//! Refactors of the solver must keep these bit-identical; any change to
-//! seeds, job numbering, budgets or the search itself shows up here as a
-//! mismatch.
+//! synthetic instance. The decomposed rows run at tree depth 1 (one split
+//! into leaves) and depth 2; the serial rows run the monolithic engine the
+//! closed-loop controller uses, once plain and once evacuating a drained
+//! machine. Refactors of the solver must keep these bit-identical; any
+//! change to seeds, job numbering, budgets, operator decisions or the
+//! search itself shows up here as a mismatch.
 
-use rex_cluster::{Objective, ObjectiveKind};
-use rex_core::{solve, SraConfig, SraResult};
+use rex_cluster::{MachineId, Objective, ObjectiveKind};
+use rex_core::{solve, solve_with_drain, SraConfig, SraResult};
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
 /// `(machines, shards, instance seed, depth, placement hash, objective
@@ -99,5 +101,93 @@ fn decomposed_solves_match_their_golden_fingerprints() {
             "{label}: objective differs"
         );
         assert_eq!(res.iterations, iterations, "{label}: iterations differ");
+    }
+}
+
+/// `(machines, exchange, shards, stringency, instance seed, drained
+/// machine, placement hash, objective bits, iterations)` for serial
+/// (`partitions: 0`) solves at the controller's settings: λ 0.25, 3 000
+/// iterations, destroy cap 64.
+#[allow(clippy::type_complexity)]
+const SERIAL_PINS: [(usize, usize, usize, f64, u64, Option<usize>, u64, u64, u64); 2] = [
+    // drift_sra's fleet shape: the closed loop's inline rebalance.
+    (
+        40,
+        5,
+        400,
+        0.75,
+        1,
+        None,
+        0xe309_4f4d_57ee_bccc,
+        0x3fed_c1f6_6cc8_80e7,
+        3000,
+    ),
+    // The evacuation path: one machine drained on a slack fleet.
+    (
+        24,
+        3,
+        200,
+        0.5,
+        5,
+        Some(3),
+        0x34da_3e1e_6b27_9858,
+        0x3fe6_c852_8228_684c,
+        3000,
+    ),
+];
+
+#[test]
+fn serial_solves_match_their_golden_fingerprints() {
+    for (machines, exchange, shards, stringency, inst_seed, drain, hash, objective, iterations) in
+        SERIAL_PINS
+    {
+        let inst = generate(&SynthConfig {
+            n_machines: machines,
+            n_exchange: exchange,
+            n_shards: shards,
+            stringency,
+            placement: Placement::Hotspot(0.4),
+            seed: inst_seed,
+            ..Default::default()
+        })
+        .expect("generate");
+        let cfg = SraConfig {
+            iters: 3_000,
+            partitions: 0,
+            seed: 7,
+            objective: Objective {
+                kind: ObjectiveKind::PeakLoad,
+                lambda: 0.25,
+            },
+            ..Default::default()
+        };
+        let drained: Vec<MachineId> = drain.map(MachineId::from).into_iter().collect();
+        for &m in &drained {
+            assert!(
+                inst.initial.contains(&m),
+                "drained {m} starts empty: the pin would skip the evacuation"
+            );
+        }
+        let res = solve_with_drain(&inst, &cfg, &drained).expect("solve");
+        for &m in &drained {
+            assert!(
+                res.assignment.is_vacant(m),
+                "drained {m} still hosts shards"
+            );
+        }
+        let label = format!("{machines}+{exchange}x{shards} seed {inst_seed} drain {drain:?}");
+        let got = (
+            placement_hash(&res),
+            res.objective_value.to_bits(),
+            res.iterations,
+        );
+        assert_eq!(
+            got,
+            (hash, objective, iterations),
+            "{label}: fingerprint differs (got {:#x}, {:#x}, {})",
+            got.0,
+            got.1,
+            got.2
+        );
     }
 }
