@@ -1,8 +1,9 @@
 //! Machine-readable solver perf trajectory: times the serial engine spine
 //! (the seed, `speedup_vs_seed = 1`) and the cooperative decomposed solver
-//! (`partitions = 8`) on the `exp_scalability` sizes and emits one JSON
-//! record per `(bench, size)` to `BENCH_solver.json` (see EXPERIMENTS.md
-//! §"Perf trajectory").
+//! (`partitions = 8`) on the `exp_scalability` sizes, the query router, and
+//! the closed-loop runtime's tick loop, and emits one JSON record per
+//! `(bench, size)` to `BENCH_solver.json` (see EXPERIMENTS.md §"Perf
+//! trajectory").
 //!
 //! The ratio fields of a solver record are relative to the `engine_spine`
 //! record at the same size, i.e. the serial engine at the same per-iteration
@@ -36,10 +37,14 @@
 //! (the rayon shim's knob) is recorded in each record.
 
 use rex_cluster::Objective;
+use rex_cluster::{
+    FleetSpec, GenerationSpec, LoadScriptSpec, RackCrashSpec, ScenarioSpec, SraSpec, WorkloadSpec,
+};
 use rex_core::{run_search, SraConfig, SraProblem};
 use rex_obs::Recorder;
 use rex_router::{PolicyKind, RouterConfig};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_runtime::{ControllerPolicy, RuntimeConfig, Simulation};
+use rex_workload::synthetic::{generate, generate_workload, DemandFamily, Placement, SynthConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -50,9 +55,10 @@ struct Record {
     /// Benchmark id: `engine_spine` (the serial engine's raw iteration
     /// throughput and the seed of the ratio fields, gated at 2% instead of
     /// 10%), `decomposed_solve`,
-    /// `event_engine` (router), or `kernel_scan` (SIMD-dispatched scan vs
-    /// the scalar oracle; `--check` gates its `speedup_vs_seed` ratio,
-    /// `REX_BENCH_LARGE` runs only).
+    /// `event_engine` (router), `runtime_tick` (the closed-loop tick loop;
+    /// an "iteration" is one simulated tick), or `kernel_scan`
+    /// (SIMD-dispatched scan vs the scalar oracle; `--check` gates its
+    /// `speedup_vs_seed` ratio, `REX_BENCH_LARGE` runs only).
     bench: String,
     /// Instance size as `machines x shards`.
     size: String,
@@ -81,9 +87,10 @@ struct Record {
     /// continuity. `0.0` when not measured.
     #[serde(default)]
     cpu_ns_per_iter: f64,
-    /// For `event_engine` only: simulated router events processed per wall
+    /// For `event_engine`: simulated router events processed per wall
     /// second (the headline throughput number; the acceptance floor is
-    /// 1M events/sec). `0.0` for the solver benches.
+    /// 1M events/sec). For `runtime_tick`: simulated ticks per wall second.
+    /// `0.0` for the solver benches.
     #[serde(default)]
     events_per_sec: f64,
 }
@@ -232,6 +239,113 @@ fn measure_router(threads: usize) -> Record {
     }
 }
 
+/// Times the closed-loop runtime's tick loop on a popularity-shaped fleet
+/// — the `popularity_tick` benchmark workload's shape: three hardware
+/// generations, sampled fanout 4, Zipf popularity drift every 1/16 of the
+/// horizon, the diurnal envelope, one rack crash and recovery, and the
+/// greedy controller — and returns one `runtime_tick` record per fleet
+/// scale. `ns_per_iter` is wall nanoseconds per simulated tick of the
+/// fastest rep, `events_per_sec` the matching ticks per second, and
+/// `cpu_ns_per_iter` thread-CPU nanoseconds per tick over all reps (the
+/// metric `--check` gates; reps continue until a second has passed, so the
+/// 10 ms CPU-clock granularity stays near 1%). Quick mode measures only
+/// the smaller fleet, which the full run also records, so it always has a
+/// baseline.
+fn measure_runtime_tick(threads: usize) -> Vec<Record> {
+    let scales: &[usize] = if rex_bench::quick() { &[2] } else { &[2, 10] };
+    let ticks = 40_000u64;
+    let mut out = Vec::new();
+    for &scale in scales {
+        let generation = |name: &str, count: usize, scale: f64| GenerationSpec {
+            name: name.into(),
+            count,
+            scale,
+        };
+        let w = WorkloadSpec {
+            scenario: ScenarioSpec {
+                ticks,
+                qps_per_tick: 8.0,
+                seed: 17,
+                sra: Some(SraSpec {
+                    every_ticks: ticks / 20,
+                    iters: 2_500,
+                }),
+                ..Default::default()
+            },
+            fleet: Some(FleetSpec {
+                generations: vec![
+                    generation("gen-1x", 6 * scale, 1.0),
+                    generation("gen-2x", 6 * scale, 2.0),
+                    generation("gen-4x", 4 * scale, 4.0),
+                ],
+                exchange: 2 * scale,
+                exchange_scale: 1.0,
+                racks: 4 * scale,
+            }),
+            load: Some(LoadScriptSpec {
+                diurnal_amplitude: 0.1,
+                ticks_per_hour: ticks / 8,
+                zipf_alpha: 0.9,
+                drift_every_ticks: ticks / 16,
+                swaps_per_epoch: 40 * scale,
+                target_utilization: 0.75,
+            }),
+            rack_crashes: vec![RackCrashSpec {
+                at_tick: ticks / 3,
+                rack: 1,
+                recover_at_tick: Some(ticks / 2),
+            }],
+        };
+        let inst = generate_workload(
+            &w,
+            &SynthConfig {
+                n_shards: 160 * scale,
+                dims: 1,
+                stringency: 0.65,
+                alpha: 0.02,
+                placement: Placement::Hotspot(0.35),
+                seed: 17,
+                ..Default::default()
+            },
+        )
+        .expect("generate workload");
+        let mut cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
+        cfg.controller.policy = ControllerPolicy::Greedy;
+        cfg.copy_bandwidth = 0.5;
+        let mut best: Option<(u64, f64)> = None; // (wall_ns, final peak)
+        let mut reps = 0u64;
+        let cpu0 = thread_cpu_ns();
+        let start = Instant::now();
+        while reps < 3 || start.elapsed().as_secs_f64() < 1.0 {
+            reps += 1;
+            let sim = Simulation::new(inst.clone(), cfg.clone());
+            let t = Instant::now();
+            let export = sim.run();
+            let wall = t.elapsed().as_nanos() as u64;
+            assert_eq!(export.counters.transient_violations, 0);
+            if best.is_none_or(|(prev, _)| wall < prev) {
+                best = Some((wall, export.final_report.peak));
+            }
+        }
+        let cpu = thread_cpu_ns() - cpu0;
+        let (wall, peak) = best.expect("at least one rep");
+        out.push(Record {
+            bench: "runtime_tick".into(),
+            size: format!("{}x{}", inst.n_machines(), inst.n_shards()),
+            threads,
+            ns_per_iter: wall as f64 / ticks as f64,
+            speedup_vs_seed: 1.0,
+            wall_ns: wall,
+            iterations: ticks,
+            peak,
+            peak_vs_seed: 1.0,
+            cpu_ns_per_iter: cpu as f64 / (reps * ticks) as f64,
+            events_per_sec: ticks as f64 / (wall as f64 / 1e9),
+        });
+    }
+    out
+}
+
 fn measure() -> Vec<Record> {
     let sizes: Vec<(usize, usize)> = if rex_bench::quick() {
         vec![(32, 320)]
@@ -319,6 +433,7 @@ fn measure() -> Vec<Record> {
     }
 
     out.push(measure_router(threads));
+    out.extend(measure_runtime_tick(threads));
 
     // The large tier (`REX_BENCH_LARGE=1`): decomposed solver only — the
     // serial spine at these sizes is too slow to serve as an in-run

@@ -23,6 +23,8 @@
 //!   hysteresis band, and an operator scheduler feeding the solver deltas.
 //! * [`metrics`] — counters, gauges, HDR-style latency histograms, and the
 //!   byte-deterministic JSON export.
+//! * `load` (crate-private) — the tick loop's derived load state, rebuilt
+//!   only after an event changes its inputs (DESIGN.md §17).
 //! * [`sim`] — the [`Simulation`] event loop tying it all together.
 //!
 //! Determinism is a hard contract: a run is a pure function of
@@ -39,6 +41,7 @@ pub mod controller;
 pub mod events;
 pub mod exec;
 pub mod hotshard;
+mod load;
 pub mod metrics;
 pub mod server;
 pub mod sim;

@@ -23,6 +23,18 @@ use rand::RngExt;
 use rex_cluster::{service, Assignment, Instance, MachineId, ResourceVec};
 use rex_searchsim::queries::DIURNAL;
 
+/// Sum of the 24-hour [`DIURNAL`] curve, added in hour order — the same
+/// bits as `DIURNAL.iter().sum()`, computed once instead of per call.
+const DIURNAL_TOTAL: f64 = {
+    let mut total = 0.0;
+    let mut h = 0;
+    while h < DIURNAL.len() {
+        total += DIURNAL[h];
+        h += 1;
+    }
+    total
+};
+
 /// Normalized, amplitude-damped diurnal multiplier for a tick.
 ///
 /// The raw searchsim curve is normalized to mean 1.0 over a day, then its
@@ -31,17 +43,21 @@ use rex_searchsim::queries::DIURNAL;
 /// capacity for peak traffic, so its *utilization* swing is much smaller
 /// than the raw traffic swing — amplitude models that head-room.
 pub fn diurnal_multiplier(tick: u64, ticks_per_hour: u64, amplitude: f64) -> f64 {
-    let total: f64 = DIURNAL.iter().sum();
     let hour = ((tick / ticks_per_hour) % 24) as usize;
-    let raw = DIURNAL[hour] * 24.0 / total;
+    let raw = DIURNAL[hour] * 24.0 / DIURNAL_TOTAL;
     1.0 + (raw - 1.0) * amplitude
 }
 
-/// Per-machine effective utilization ρ (unclamped).
+/// Per-machine effective utilization ρ (unclamped), rebuilt from scratch
+/// into `out`.
 ///
 /// `spike_cpu[m]` is the extra CPU demand from active flash crowds on
 /// machine `m`; `transient[m]` is the in-flight copy footprint. Vacant
 /// machines with no transient footprint report 0.
+///
+/// The tick loop does not call this per tick: the simulation caches `out`
+/// and rebuilds it only after an event changes one of the inputs or the
+/// diurnal multiplier changes value (DESIGN.md §17).
 pub fn effective_rho(
     inst: &Instance,
     asg: &Assignment,
@@ -159,6 +175,31 @@ mod tests {
         let full = diurnal_multiplier(9, 1, 1.0);
         let half = diurnal_multiplier(9, 1, 0.5);
         assert!(1.0 < half && half < full);
+    }
+
+    #[test]
+    fn diurnal_total_matches_a_per_call_sum_bit_for_bit() {
+        // Reference: the multiplier with the day's total summed per call.
+        let per_call = |tick: u64, ticks_per_hour: u64, amplitude: f64| {
+            let total: f64 = DIURNAL.iter().sum();
+            let hour = ((tick / ticks_per_hour) % 24) as usize;
+            1.0 + (DIURNAL[hour] * 24.0 / total - 1.0) * amplitude
+        };
+        let sum: f64 = DIURNAL.iter().sum();
+        assert_eq!(DIURNAL_TOTAL.to_bits(), sum.to_bits());
+        // The amplitudes in use — the scenario lowering's 0.0, the
+        // `popularity_tick` benchmark's 0.1, the tests' 0.2,
+        // `examples/workload_heterogeneous.json`'s 0.3, the runtime
+        // default 0.6 — plus the raw curve's 1.0.
+        for amplitude in [0.0, 0.1, 0.2, 0.3, 0.6, 1.0] {
+            for tick in 0..48 {
+                assert_eq!(
+                    diurnal_multiplier(tick, 1, amplitude).to_bits(),
+                    per_call(tick, 1, amplitude).to_bits(),
+                    "hour {tick}, amplitude {amplitude}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,10 +48,9 @@ use crate::controller::{plan_evacuation, plan_load_rebalance, Controller};
 use crate::events::{Event, EventQueue};
 use crate::exec::{batch_footprint, MigrationKind, PlannedMigration};
 use crate::hotshard::{plan_hotshard_migration, EwmaCache, OperatorKind, OperatorScheduler};
+use crate::load::{LoadEvent, LoadInputs, LoadTables};
 use crate::metrics::{GaugeSample, MetricsBus, MetricsExport, RunMeta};
-use crate::server::{
-    diurnal_multiplier, effective_rho, sample_fanout_latency, sample_sampled_fanout_latency,
-};
+use crate::server::{diurnal_multiplier, sample_fanout_latency, sample_sampled_fanout_latency};
 use crate::trace::{ReplayScript, TraceLine};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -163,15 +162,9 @@ pub struct Simulation {
     wtrace: Vec<TraceLine>,
     /// Pinned realizations from a replayed trace, if any.
     replay: Option<ReplayScript>,
-    // Scratch buffers reused across ticks.
-    rho: Vec<f64>,
-    spike_cpu: Vec<f64>,
-    serving: Vec<bool>,
-    /// Sampled-fanout arrival weights (`cfg.fanout > 0` only): per-shard
-    /// weight, its cumulative table, and the total.
-    shard_weight: Vec<f64>,
-    cum_weight: Vec<f64>,
-    total_weight: f64,
+    /// The tick loop's derived load state, rebuilt only after an event
+    /// changes one of its inputs.
+    load: LoadTables,
 }
 
 impl Simulation {
@@ -241,12 +234,7 @@ impl Simulation {
             wtrace_enabled: false,
             wtrace: Vec::new(),
             replay: None,
-            rho: Vec::with_capacity(n),
-            spike_cpu: vec![0.0; n],
-            serving: vec![false; n],
-            shard_weight: Vec::new(),
-            cum_weight: Vec::new(),
-            total_weight: 0.0,
+            load: LoadTables::new(n),
             inst,
             cfg,
         }
@@ -380,11 +368,11 @@ impl Simulation {
     /// trace afterwards. With a [`Recorder::Noop`] this is exactly [`run`].
     ///
     /// [`run`]: Simulation::run
-    pub fn run_traced(self, rec: &mut Recorder) -> MetricsExport {
+    pub fn run_traced(mut self, rec: &mut Recorder) -> MetricsExport {
         self.run_core(rec).0
     }
 
-    fn run_core(mut self, rec: &mut Recorder) -> (MetricsExport, Vec<TraceLine>) {
+    fn run_core(&mut self, rec: &mut Recorder) -> (MetricsExport, Vec<TraceLine>) {
         self.obs = std::mem::take(rec);
         if self.obs.is_active() {
             self.obs.span_open(
@@ -526,43 +514,38 @@ impl Simulation {
             // Sampled-fanout mode scales arrivals by the live/base weight
             // ratio — a flash crowd raises traffic exactly the way the
             // event engine's `lambda_spike = lambda_base · ts / tb` does.
-            lambda *= self.refresh_arrival_weights();
+            let (load, inp) = self.load_inputs();
+            lambda *= load.arrivals(&inp);
         }
         let n = poisson(&mut self.arrivals_rng, lambda);
         self.bus.counters.queries_arrived += n;
         if n > 0 {
-            self.refresh_serving();
-            let degraded = self.failed.iter().zip(&self.serving).any(|(&f, &s)| f && s);
-            if degraded {
+            let (load, inp) = self.load_inputs();
+            if load.degraded(&inp) {
                 self.bus.counters.queries_degraded += n;
             }
             let k = (n as usize).min(self.cfg.latency_samples_per_tick);
             if k > 0 {
-                self.refresh_spike_cpu();
-                effective_rho(
-                    &self.inst,
-                    &self.asg,
-                    &self.spike_cpu,
-                    &self.transient,
-                    mult,
-                    &mut self.rho,
-                );
+                let (load, inp) = self.load_inputs();
+                load.refresh_rho(&inp, mult);
+                let load = &self.load;
                 for _ in 0..k {
                     let lat = if self.cfg.fanout > 0 {
+                        let (cum, total) = load.arrival_table();
                         sample_sampled_fanout_latency(
-                            &self.rho,
+                            load.rho(),
                             &self.failed,
                             self.cfg.rho_max,
-                            &self.cum_weight,
-                            self.total_weight,
+                            cum,
+                            total,
                             self.asg.placement(),
                             self.cfg.fanout,
                             &mut self.latency_rng,
                         )
                     } else {
                         sample_fanout_latency(
-                            &self.rho,
-                            &self.serving,
+                            load.rho(),
+                            load.serving(),
                             &self.failed,
                             self.cfg.rho_max,
                             &mut self.latency_rng,
@@ -578,39 +561,20 @@ impl Simulation {
         }
     }
 
-    /// Rebuilds the sampled-fanout arrival weights: per-shard CPU demand
-    /// times any active spike factors (overlapping spikes compound
-    /// multiplicatively, matching the additive compounding of
-    /// `refresh_spike_cpu`). Returns the live/base total-weight ratio.
-    fn refresh_arrival_weights(&mut self) -> f64 {
-        let n = self.inst.n_shards();
-        self.shard_weight.clear();
-        for i in 0..n {
-            self.shard_weight
-                .push(self.inst.demand(ShardId::from(i))[0]);
-        }
-        let base_total: f64 = self.shard_weight.iter().sum();
-        for (idx, state) in self.spikes.iter().enumerate() {
-            let Some(shards) = state else { continue };
-            let FaultSpec::Spike { factor, .. } = self.cfg.faults[idx] else {
-                continue;
-            };
-            for &s in shards {
-                self.shard_weight[s.idx()] *= factor;
-            }
-        }
-        self.cum_weight.clear();
-        let mut total = 0.0;
-        for &w in &self.shard_weight {
-            total += w;
-            self.cum_weight.push(total);
-        }
-        self.total_weight = total;
-        if base_total > 0.0 {
-            total / base_total
-        } else {
-            1.0
-        }
+    /// The derived load state, split from the inputs it is built from
+    /// (reads through it rebuild only what an event invalidated).
+    fn load_inputs(&mut self) -> (&mut LoadTables, LoadInputs<'_>) {
+        (
+            &mut self.load,
+            LoadInputs {
+                inst: &self.inst,
+                asg: &self.asg,
+                spikes: &self.spikes,
+                faults: &self.cfg.faults,
+                transient: &self.transient,
+                failed: &self.failed,
+            },
+        )
     }
 
     /// Event-mode arrivals: advance the embedded router through this
@@ -637,9 +601,8 @@ impl Simulation {
         be.queries_seen = q;
         self.bus.counters.queries_arrived += n;
         if n > 0 {
-            self.refresh_serving();
-            let degraded = self.failed.iter().zip(&self.serving).any(|(&f, &s)| f && s);
-            if degraded {
+            let (load, inp) = self.load_inputs();
+            if load.degraded(&inp) {
                 self.bus.counters.queries_degraded += n;
             }
         }
@@ -684,9 +647,9 @@ impl Simulation {
                 loads[m]
             );
             assert!(
-                (self.spike_cpu[m] - spikes[m]).abs() < 1e-9,
+                (self.load.spike_cpu()[m] - spikes[m]).abs() < 1e-9,
                 "machine {m}: spike surcharge drifted: {} vs {}",
-                self.spike_cpu[m],
+                self.load.spike_cpu()[m],
                 spikes[m]
             );
         }
@@ -735,7 +698,7 @@ impl Simulation {
     fn steady_load(&self, m: usize) -> f64 {
         let cap = &self.inst.machines[m].capacity;
         let usage = self.asg.usage(MachineId::from(m));
-        let mut load = (usage[0] + self.spike_cpu[m]) / cap[0];
+        let mut load = (usage[0] + self.load.spike_cpu()[m]) / cap[0];
         for d in 1..self.inst.dims {
             load = load.max(usage[d] / cap[d]);
         }
@@ -743,7 +706,9 @@ impl Simulation {
     }
 
     fn push_gauge(&mut self, tick: u64) {
-        self.refresh_spike_cpu();
+        let mult = diurnal_multiplier(tick, self.cfg.ticks_per_hour, self.cfg.diurnal_amplitude);
+        let (load, inp) = self.load_inputs();
+        load.refresh_rho(&inp, mult);
         let n = self.inst.n_machines();
         let mut peak = 0.0f64;
         let mut occupied_sum = 0.0f64;
@@ -762,16 +727,7 @@ impl Simulation {
             0.0
         };
         let imbalance = if mean > 0.0 { peak / mean } else { 1.0 };
-        let mult = diurnal_multiplier(tick, self.cfg.ticks_per_hour, self.cfg.diurnal_amplitude);
-        effective_rho(
-            &self.inst,
-            &self.asg,
-            &self.spike_cpu,
-            &self.transient,
-            mult,
-            &mut self.rho,
-        );
-        let effective_peak_rho = self.rho.iter().cloned().fold(0.0, f64::max);
+        let effective_peak_rho = self.load.rho().iter().cloned().fold(0.0, f64::max);
         self.bus.gauges.push(GaugeSample {
             tick,
             peak_util: peak,
@@ -939,6 +895,7 @@ impl Simulation {
             *t = ResourceVec::zero(self.inst.dims);
         }
         batch_footprint(&self.inst, batch, &mut self.transient);
+        self.load.invalidate(LoadEvent::BatchStart);
         // Independent live check of the transient constraint (DESIGN.md §7):
         // steady usage plus the batch footprint must fit every machine.
         for m in 0..self.inst.n_machines() {
@@ -997,6 +954,7 @@ impl Simulation {
         for t in self.transient.iter_mut() {
             *t = ResourceVec::zero(self.inst.dims);
         }
+        self.load.invalidate(LoadEvent::BatchComplete);
         if self.abort_requested {
             self.finalize_plan(tick, false);
         } else if finished {
@@ -1254,6 +1212,7 @@ impl Simulation {
             }
         }
         self.asg = Assignment::from_initial(&self.inst);
+        self.load.invalidate(LoadEvent::Split);
         self.hotshard_cache
             .split(tick, shard, child, self.cfg.hotshard.split_fraction);
         self.siblings.push((shard, child));
@@ -1357,6 +1316,7 @@ impl Simulation {
                     }
                 }
                 self.asg = Assignment::from_initial(&self.inst);
+                self.load.invalidate(LoadEvent::Merge);
                 self.bus.counters.shard_merges += 1;
                 if self.obs.is_active() {
                     self.obs.event(
@@ -1430,6 +1390,7 @@ impl Simulation {
             return;
         }
         self.failed[m.idx()] = true;
+        self.load.invalidate(LoadEvent::Crash);
         if let Some(be) = self.backend.as_mut() {
             be.router.set_failed(m.idx(), true);
         }
@@ -1489,6 +1450,7 @@ impl Simulation {
             return;
         }
         self.failed[m.idx()] = false;
+        self.load.invalidate(LoadEvent::Recover);
         if let Some(be) = self.backend.as_mut() {
             be.router.set_failed(m.idx(), false);
         }
@@ -1535,11 +1497,13 @@ impl Simulation {
             );
         }
         self.spikes[idx] = Some(ids);
+        self.load.invalidate(LoadEvent::SpikeStart);
         self.bus.counters.spikes_started += 1;
     }
 
     fn on_spike_end(&mut self, tick: u64, idx: usize) {
         if self.spikes[idx].take().is_some() {
+            self.load.invalidate(LoadEvent::SpikeEnd);
             self.bus.counters.spikes_ended += 1;
             self.record(TraceLine {
                 fault: idx,
@@ -1610,6 +1574,7 @@ impl Simulation {
                 self.inst = inst;
                 // Demands changed under the shards' feet; rebuild usage.
                 self.asg = Assignment::from_initial(&self.inst);
+                self.load.invalidate(LoadEvent::Drift);
                 self.bus.counters.drift_epochs += 1;
                 if self.obs.is_active() {
                     self.obs.event(
@@ -1660,6 +1625,7 @@ impl Simulation {
                 self.inst = inst;
                 // Demands changed under the shards' feet; rebuild usage.
                 self.asg = Assignment::from_initial(&self.inst);
+                self.load.invalidate(LoadEvent::Popularity);
                 self.bus.counters.popularity_epochs += 1;
                 self.record(TraceLine {
                     ranks,
@@ -1696,29 +1662,6 @@ impl Simulation {
     fn any_failed_hosting(&self) -> bool {
         (0..self.inst.n_machines())
             .any(|m| self.failed[m] && !self.asg.shards_on(MachineId::from(m)).is_empty())
-    }
-
-    fn refresh_serving(&mut self) {
-        for m in 0..self.inst.n_machines() {
-            self.serving[m] = !self.asg.shards_on(MachineId::from(m)).is_empty();
-        }
-    }
-
-    fn refresh_spike_cpu(&mut self) {
-        for x in self.spike_cpu.iter_mut() {
-            *x = 0.0;
-        }
-        let placement = self.asg.placement();
-        for (idx, state) in self.spikes.iter().enumerate() {
-            let Some(shards) = state else { continue };
-            let FaultSpec::Spike { factor, .. } = self.cfg.faults[idx] else {
-                continue;
-            };
-            for &s in shards {
-                let m = placement[s.idx()].idx();
-                self.spike_cpu[m] += (factor - 1.0) * self.inst.demand(s)[0];
-            }
-        }
     }
 
     /// A validated snapshot for planning: live demands with active spikes
@@ -2487,6 +2430,70 @@ mod tests {
             replayed.to_json(),
             "event-engine replay must reproduce the run byte for byte"
         );
+    }
+
+    // ---- derived load state ------------------------------------------------
+
+    /// Runs `sim` to the horizon and returns the set of [`LoadEvent`]s
+    /// that were followed by a cross-checked read of the derived load
+    /// state.
+    #[cfg(debug_assertions)]
+    fn cross_checked_events(mut sim: Simulation) -> u16 {
+        let export = sim.run_core(&mut Recorder::noop()).0;
+        assert_eq!(export.counters.transient_violations, 0);
+        assert!(export.latency.count > 0);
+        sim.load.cross_checked()
+    }
+
+    /// Every event kind that invalidates the derived load state fires in
+    /// one of these runs, and each is followed by a read that rebuilt the
+    /// state from scratch and compared it bit for bit with the cache. The
+    /// runs are shaped so that a missing invalidation would leave a stale
+    /// value that differs from the rebuild: the fanout runs read the
+    /// arrival table every tick (a split or merge changes its length), the
+    /// crash recovers while its evacuation is still copying (the degraded
+    /// flag flips back), and the diurnal envelope crosses hour boundaries.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn every_invalidating_event_is_cross_checked() {
+        // Popularity epochs, a flash crowd, a rack crash and recovery,
+        // SRA plans and evacuations, and diurnal hours, in fanout mode.
+        let (inst, w) = heterogeneous_workload(true);
+        let mut seen = cross_checked_events(Simulation::from_workload(inst, &w));
+        // Drift epochs under the SRA controller.
+        let mut cfg = short_cfg(ControllerPolicy::Sra);
+        cfg.drift = Some(DriftSpec {
+            every_ticks: 300,
+            sigma: 0.15,
+            target_utilization: 0.6,
+        });
+        seen |= cross_checked_events(Simulation::new(hotspot(11), cfg));
+        // Hot-shard split and merge around a flash crowd, in fanout mode.
+        let mut cfg = hotshard_cfg();
+        cfg.fanout = 4;
+        cfg.faults = vec![FaultSpec::Spike {
+            at: 100,
+            duration: 300,
+            factor: 2.0,
+            shard_fraction: 0.01,
+        }];
+        cfg.ticks = 3_000;
+        seen |= cross_checked_events(Simulation::new(one_hot(30.0), cfg));
+        // A crash that recovers before its slow evacuation completes.
+        let mut cfg = short_cfg(ControllerPolicy::Off);
+        cfg.copy_bandwidth = 0.05;
+        cfg.faults = vec![FaultSpec::Crash {
+            at: 100,
+            machine: 0,
+            recover_at: Some(110),
+        }];
+        seen |= cross_checked_events(Simulation::new(hotspot(14), cfg));
+        for event in LoadEvent::ALL {
+            assert!(
+                seen & event.bit() != 0,
+                "{event:?} was never followed by a cross-checked read"
+            );
+        }
     }
 
     #[test]
